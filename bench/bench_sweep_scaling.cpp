@@ -3,7 +3,7 @@
 // Runs the full (design x scenario x trial) suite sweep — the shape behind
 // Table 5 and the Pareto cascade — at several SweepEngine worker counts and
 // reports trial jobs/sec plus speedup over the 1-thread baseline into
-// BENCH_sweep_scaling.json, together with the layer-cost memo hit rate.
+// BENCH_sweep_scaling.json, together with the model-level memo hit rate.
 // This is the bench that turns the ROADMAP's ">= Nx on real parallel
 // hardware" from an assertion into a measurement.
 //
@@ -13,7 +13,7 @@
 //            CI diffs stdout across XRBENCH_THREADS values.
 //   stderr — throughput/timing lines (inherently nondeterministic).
 //
-// Besides the thread-scaling suite sweep, two phases isolate the other
+// Besides the thread-scaling suite sweep, three phases isolate the other
 // rungs of the raw-speed ladder in BENCH_sweep_scaling.json:
 //   cold build — CostTable construction for the DVFS-laddered design family
 //     through the level-batched all-levels kernel vs the per-level
@@ -21,11 +21,8 @@
 //     cold_build_per_level_ms, batched_build_speedup);
 //   warm memo — the same builds again on the same cost model, now pure
 //     model-level memo hits (rung 2: warm_build_ms, model-memo hit rate);
-//   SIMD kernel — the same cold builds with the level-axis SIMD kernel
-//     forced off vs on (rung 3: cold_build_scalar_ms vs
-//     cold_build_simd_ms, simd_speedup);
 //   pinned sweep — the thread-scaling sweep re-run with XRBENCH_PIN=1
-//     (rung 4: pinned_jobs_per_sec_tN / pinned_speedup_tN, plus a
+//     (rung 3: pinned_jobs_per_sec_tN / pinned_speedup_tN, plus a
 //     `pinned` flag from SweepEngine::workers_pinned(); scores must stay
 //     byte-identical to the unpinned reference).
 //
@@ -107,7 +104,6 @@ int main() {
         sweep_ms > 0.0 ? static_cast<double>(jobs) / (sweep_ms / 1000.0) : 0.0;
     if (ti == 0) base_jobs_per_sec = jobs_per_sec;
 
-    const auto memo = engine.memo_stats();
     const auto model_memo = engine.model_memo_stats();
     const std::string suffix = "_t" + std::to_string(n);
     bench.add_metric("sweep_ms" + suffix, sweep_ms);
@@ -115,11 +111,9 @@ int main() {
     bench.add_metric("speedup" + suffix, base_jobs_per_sec > 0.0
                                              ? jobs_per_sec / base_jobs_per_sec
                                              : 0.0);
-    bench.add_metric("memo_hit_rate" + suffix, memo.hit_rate());
     bench.add_metric("model_memo_hit_rate" + suffix, model_memo.hit_rate());
     std::cerr << "threads=" << n << "  sweep_ms=" << sweep_ms
               << "  jobs_per_sec=" << jobs_per_sec
-              << "  memo_hit_rate=" << memo.hit_rate()
               << "  model_memo_hit_rate=" << model_memo.hit_rate() << "\n";
 
     if (reference.empty()) {
@@ -144,7 +138,7 @@ int main() {
   bench.add_metric("design_points", static_cast<double>(points.size()));
 
 #if !defined(_WIN32)
-  // --- Rung 4: the same thread-scaling sweep with worker pinning on. ------
+  // --- Rung 3: the same thread-scaling sweep with worker pinning on. ------
   // XRBENCH_PIN=1 round-robins workers onto fixed cores; it must move
   // threads, never bytes — every pinned score is checked against the
   // unpinned reference above.
@@ -240,37 +234,6 @@ int main() {
   const double warm_ms = bench.elapsed_ms() - t_warm;
   const auto model_memo = build_cm.model_memo_stats();
 
-  // --- Rung 3: the SIMD level-axis kernel vs its scalar escape hatch. -----
-  // Same cold CostTable builds, kernel forced off then on, several reps
-  // each (fresh cost model per rep keeps every build cold); the ratio is
-  // the pure win of vectorizing the per-level finish tail.
-  const bool simd_saved = costmodel::simd_enabled();
-  constexpr int kSimdReps = 5;
-  double scalar_build_ms = 0.0;
-  double simd_build_ms = 0.0;
-  for (int rep = 0; rep < kSimdReps; ++rep) {
-    costmodel::set_simd_enabled(false);
-    costmodel::AnalyticalCostModel scalar_cm;
-    const double t_s = bench.elapsed_ms();
-    for (const auto& sys : ladder_systems) {
-      runtime::CostTable table(sys, scalar_cm);
-      if (table.num_sub_accels() == 0) return 1;  // keep the build observable
-    }
-    scalar_build_ms += bench.elapsed_ms() - t_s;
-
-    costmodel::set_simd_enabled(true);
-    costmodel::AnalyticalCostModel simd_cm;
-    const double t_v = bench.elapsed_ms();
-    for (const auto& sys : ladder_systems) {
-      runtime::CostTable table(sys, simd_cm);
-      if (table.num_sub_accels() == 0) return 1;
-    }
-    simd_build_ms += bench.elapsed_ms() - t_v;
-  }
-  costmodel::set_simd_enabled(simd_saved);
-  const double simd_speedup =
-      simd_build_ms > 0.0 ? scalar_build_ms / simd_build_ms : 0.0;
-
   bench.add_metric("cold_build_per_level_ms", per_level_ms);
   bench.add_metric("cold_build_batched_ms", cold_ms);
   bench.add_metric("batched_build_speedup",
@@ -281,18 +244,12 @@ int main() {
   bench.add_metric("model_memo_hit_rate", model_memo.hit_rate());
   bench.add_metric("model_memo_entries",
                    static_cast<double>(model_memo.entries));
-  bench.add_metric("cold_build_scalar_ms", scalar_build_ms);
-  bench.add_metric("cold_build_simd_ms", simd_build_ms);
-  bench.add_metric("simd_speedup", simd_speedup);
   std::cerr << "cold build: per-level=" << per_level_ms
             << "ms  batched=" << cold_ms << "ms  (speedup "
             << (cold_ms > 0.0 ? per_level_ms / cold_ms : 0.0)
             << "x, " << level_evals << " level evals)\n"
             << "warm rebuild: " << warm_ms << "ms  model_memo_hit_rate="
-            << model_memo.hit_rate() << "\n"
-            << "simd kernel: scalar=" << scalar_build_ms << "ms  simd="
-            << simd_build_ms << "ms  (" << kSimdReps
-            << " reps, speedup " << simd_speedup << "x)\n";
+            << model_memo.hit_rate() << "\n";
 
   // Deterministic report (stdout): one score table for the whole family.
   std::cout << "=== Sweep scaling: Table-5 family, full suite ===\n\n";

@@ -74,13 +74,10 @@ int main() {
     lat.print(std::cout);
   }
   std::cout << "\nCSV written to bench_output/table5_latencies.csv\n";
-  // Table builds run through the model-level all-levels memo; the layer
-  // memo only fills for direct layer_cost/model_cost callers.
+  // Table builds run through the model-level all-levels memo.
   std::cout << "Cost-model memo entries after the sweep: "
-            << cm.model_memo_size() << " model-level, " << cm.memo_size()
-            << " layer\n";
+            << cm.model_memo_size() << " model-level\n";
   bench.set_runs(tables_built);
-  bench.add_metric("memo_entries", static_cast<double>(cm.memo_size()));
   bench.add_metric("model_memo_entries",
                    static_cast<double>(cm.model_memo_size()));
   bench.add_metric("model_memo_hit_rate", cm.model_memo_stats().hit_rate());

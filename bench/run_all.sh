@@ -13,8 +13,6 @@ if [[ ! -d "$BUILD_DIR" ]]; then
   exit 1
 fi
 
-SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
-
 cd "$BUILD_DIR"
 mkdir -p bench_output
 shopt -s nullglob
@@ -39,16 +37,14 @@ for b in "${benches[@]}"; do
   echo "   $(( (end_ns - start_ns) / 1000000 )) ms  (log: bench_output/${b}.log)"
 done
 
-echo
-echo "== sharded multi-process sweep (2 shards + merge + byte-diff)"
+echo "== xrbench_cli --sweep"
 if [[ ! -x ./xrbench_cli ]]; then
-  # xrbench_cli is both the sharded sweep runner and the merge tool; a
-  # build without it means the sharded rung silently vanishes from the
-  # perf record — treat that as fatal, not as a skipped bench.
-  echo "FATAL: xrbench_cli (sharded merge tool) missing from $BUILD_DIR" >&2
+  # The CLI sweep is the BENCH_cli_sweep.json emitter; a build without it
+  # would silently drop that record — treat it as fatal, not as a skip.
+  echo "FATAL: xrbench_cli missing from $BUILD_DIR" >&2
   exit 1
 fi
-"$SCRIPT_DIR/run_sharded.sh" "$(pwd)" 2
+./xrbench_cli --sweep > bench_output/cli_sweep.log 2>&1
 
 echo
 echo "== JSON perf records:"
@@ -60,10 +56,9 @@ ls -1 bench_output/BENCH_*.json
 # (google-benchmark owns its output format).
 required=(
   ablation_dvfs ablation_scheduler ablation_score_params cli_sweep
-  cli_sweep_merged cli_sweep_shard0of2 cli_sweep_shard1of2 costmodel_layers
-  fault_resilience figure5 figure6 figure7 figure8_rtscore fleet_load
-  pareto program_ablation sweep_scaling table1_models table2_scenarios
-  table5_accels
+  costmodel_layers fault_resilience figure5 figure6 figure7 figure8_rtscore
+  fleet_load pareto program_ablation sweep_scaling table1_models
+  table2_scenarios table5_accels
 )
 missing=0
 for name in "${required[@]}"; do

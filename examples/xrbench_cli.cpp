@@ -49,24 +49,11 @@
 //                               (every design x {4096, 8192} PEs, default
 //                               DVFS ladders) and print one score table;
 //                               emits bench_output/BENCH_cli_sweep.json
-//     --shard <i/N>             with --sweep: run only the points owned by
-//                               shard i of N (index stride), write their
-//                               scores to <shard-dir>/SHARD_cli_sweep_*.tsv
-//                               and a per-shard BENCH json — one process
-//                               per shard, no coordination needed
-//     --shard-dir <dir>         shard score-file directory (default
-//                               bench_output)
 //     --pin                     with --sweep: pin pool workers to CPUs
-//                               round-robin (and box a --shard process onto
-//                               its contiguous slice of the allowed CPUs
-//                               first). Placement only — scores are
-//                               byte-identical either way. No-op on
-//                               platforms without an affinity API
-//     --merge-shards <dir>      recombine a complete shard set from <dir>
-//                               into the full report (byte-identical to the
-//                               unsharded --sweep output) and merge the
-//                               per-shard BENCH jsons into
-//                               BENCH_cli_sweep_merged.json
+//                               round-robin (same as XRBENCH_PIN=1).
+//                               Placement only — scores are byte-identical
+//                               either way. No-op on platforms without an
+//                               affinity API
 //
 // Program runs go through the SweepEngine, so XRBENCH_THREADS picks the
 // worker count — the report is byte-identical at any count.
@@ -80,7 +67,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -88,7 +74,6 @@
 
 #include "core/harness.h"
 #include "core/report.h"
-#include "core/shard.h"
 #include "core/sweep.h"
 #include "fleet/fleet_io.h"
 #include "fleet/fleet_report.h"
@@ -96,7 +81,6 @@
 #include "fleet/fleet_workload.h"
 #include "hw/config_io.h"
 #include "runtime/policy_registry.h"
-#include "util/affinity.h"
 #include "util/bench_json.h"
 #include "util/table.h"
 #include "workload/scenario_io.h"
@@ -151,8 +135,8 @@ void list_policies() {
 }
 
 /// The CLI sweep's fixed point enumeration: every Table-5 design at 4096
-/// and 8192 total PEs with the default DVFS ladder attached. The order is
-/// the sharding contract — shard i of N owns indices i, i+N, i+2N, ...
+/// and 8192 total PEs with the default DVFS ladder attached, in report
+/// order.
 std::vector<core::SweepPoint> cli_sweep_points(
     const core::HarnessOptions& opt) {
   std::vector<core::SweepPoint> points;
@@ -166,127 +150,28 @@ std::vector<core::SweepPoint> cli_sweep_points(
   return points;
 }
 
-/// The deterministic sweep report. Both the unsharded run and the shard
-/// merge render through this one function — that shared path, plus the
-/// exact-round-trip score serialization in core/shard.cpp, is what makes
-/// the merged output byte-identical to the unsharded run.
-void print_sweep_table(std::ostream& os,
-                       const std::vector<core::ShardScoreRow>& rows) {
-  os << "=== XRBench sweep: Table-5 family, full suite ===\n\n";
-  util::TablePrinter table({"Design", "Overall", "Realtime", "Energy", "QoE"});
-  for (const auto& row : rows) {
-    table.add_row({row.label, util::fmt_double(row.overall),
-                   util::fmt_double(row.realtime),
-                   util::fmt_double(row.energy), util::fmt_double(row.qoe)});
-  }
-  table.print(os);
-  os << "\nSweep points: " << rows.size() << "\n";
-}
-
-/// --pin: deliberate CPU placement for the sweep. A --shard process is
-/// first boxed onto its contiguous slice of the allowed CPUs (shard i of N
-/// takes the i-th slice; worker threads spawned later inherit the mask — the
-/// one-shard-per-socket deployment), then XRBENCH_PIN=1 opts every
-/// ThreadPool constructed afterwards into round-robin worker→core pinning.
-/// Placement only: the determinism contract keeps scores byte-identical
-/// pinned or not, and everything degrades to a no-op without an affinity
-/// API.
-void apply_pinning(const std::optional<core::ShardSpec>& shard) {
-  if (shard && util::affinity::supported()) {
-    const auto cpus = util::affinity::allowed_cpus();
-    const std::size_t n = cpus.size();
-    if (n > 0) {
-      const std::size_t lo = shard->index * n / shard->count;
-      std::size_t hi = (shard->index + 1) * n / shard->count;
-      if (hi <= lo) hi = lo + 1;  // more shards than CPUs: slices overlap
-      util::affinity::restrict_to_cpus(
-          {cpus.begin() + static_cast<std::ptrdiff_t>(lo),
-           cpus.begin() + static_cast<std::ptrdiff_t>(hi)});
-    }
-  }
-#if !defined(_WIN32)
-  setenv("XRBENCH_PIN", "1", 1);
-#endif
-}
-
-int run_sweep(const core::HarnessOptions& opt,
-              const std::optional<core::ShardSpec>& shard,
-              const std::string& shard_dir) {
-  const auto all_points = cli_sweep_points(opt);
-
-  std::vector<core::SweepPoint> points;
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < all_points.size(); ++i) {
-    if (!shard || shard->owns(i)) {
-      points.push_back(all_points[i]);
-      indices.push_back(i);
-    }
-  }
-
-  const std::string bench_name =
-      shard ? "cli_sweep_shard" + std::to_string(shard->index) + "of" +
-                  std::to_string(shard->count)
-            : "cli_sweep";
-  util::BenchJson bench(bench_name);
+int run_sweep(const core::HarnessOptions& opt) {
+  const auto points = cli_sweep_points(opt);
+  util::BenchJson bench("cli_sweep");
 
   core::SweepEngine engine;  // XRBENCH_THREADS picks the worker count
-  auto outcomes = engine.run_suite_points(points);
+  const auto outcomes = engine.run_suite_points(points);
   bench.set_runs(static_cast<std::int64_t>(points.size()));
-
-  std::vector<core::ShardScoreRow> rows;
-  rows.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    core::ShardScoreRow row;
-    row.index = indices[p];
-    row.label = points[p].label;
-    row.overall = outcomes[p].score.overall;
-    row.realtime = outcomes[p].score.realtime;
-    row.energy = outcomes[p].score.energy;
-    row.qoe = outcomes[p].score.qoe;
-    rows.push_back(std::move(row));
-  }
-
-  const auto memo = engine.memo_stats();
-  const auto model_memo = engine.model_memo_stats();
   bench.add_metric("points", static_cast<double>(points.size()));
-  bench.add_metric("layer_memo_hit_rate", memo.hit_rate());
-  bench.add_metric("model_memo_hit_rate", model_memo.hit_rate());
+  bench.add_metric("model_memo_hit_rate",
+                   engine.model_memo_stats().hit_rate());
 
-  if (shard) {
-    std::filesystem::create_directories(shard_dir);
-    const std::string path =
-        shard_dir + "/" +
-        core::shard_score_filename("cli_sweep", shard->index, shard->count);
-    core::write_shard_scores(path, "cli_sweep", *shard, all_points.size(),
-                             rows);
-    std::cout << "Shard " << shard->index << "/" << shard->count << ": "
-              << rows.size() << " of " << all_points.size()
-              << " sweep points written to " << path << "\n";
-  } else {
-    print_sweep_table(std::cout, rows);
+  std::cout << "=== XRBench sweep: Table-5 family, full suite ===\n\n";
+  util::TablePrinter table({"Design", "Overall", "Realtime", "Energy", "QoE"});
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const auto& score = outcomes[p].score;
+    table.add_row({points[p].label, util::fmt_double(score.overall),
+                   util::fmt_double(score.realtime),
+                   util::fmt_double(score.energy),
+                   util::fmt_double(score.qoe)});
   }
-  return 0;
-}
-
-int merge_shards(const std::string& dir) {
-  std::size_t shard_count = 0;
-  const auto rows = core::merge_shard_scores(dir, "cli_sweep", &shard_count);
-  print_sweep_table(std::cout, rows);
-
-  // Recombine the per-shard BENCH jsons. Their absence is a broken shard
-  // run, not a soft condition — fail loudly like a missing score file.
-  std::vector<std::string> bench_paths;
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    const std::string path = dir + "/BENCH_cli_sweep_shard" +
-                             std::to_string(i) + "of" +
-                             std::to_string(shard_count) + ".json";
-    if (!std::filesystem::exists(path)) {
-      throw std::runtime_error("merge-shards: missing shard bench file '" +
-                               path + "'");
-    }
-    bench_paths.push_back(path);
-  }
-  core::merge_bench_json(bench_paths, "cli_sweep_merged");
+  table.print(std::cout);
+  std::cout << "\nSweep points: " << points.size() << "\n";
   return 0;
 }
 
@@ -304,9 +189,6 @@ int main(int argc, char** argv) {
   std::optional<std::string> fleet_config;
   bool sweep_flag = false;
   bool pin_flag = false;
-  std::optional<core::ShardSpec> shard;
-  std::string shard_dir = "bench_output";
-  std::optional<std::string> merge_dir;
   std::optional<std::string> csv_path;
   std::optional<std::string> energy_csv_path;
   bool timeline = false;
@@ -379,9 +261,6 @@ int main(int argc, char** argv) {
       else if (arg == "--report") report = true;
       else if (arg == "--sweep") sweep_flag = true;
       else if (arg == "--pin") pin_flag = true;
-      else if (arg == "--shard") shard = core::parse_shard(next());
-      else if (arg == "--shard-dir") shard_dir = next();
-      else if (arg == "--merge-shards") merge_dir = next();
       else if (arg == "--list-policies") {
         list_policies();
         return 0;
@@ -392,13 +271,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (shard && !sweep_flag) usage_error("--shard requires --sweep");
   if (pin_flag && !sweep_flag) usage_error("--pin requires --sweep");
 
   try {
-    if (merge_dir) return merge_shards(*merge_dir);
-    if (pin_flag) apply_pinning(shard);
-    if (sweep_flag) return run_sweep(opt, shard, shard_dir);
+    if (sweep_flag) {
+      // --pin opts every ThreadPool constructed afterwards into round-robin
+      // worker->core pinning (util::ThreadPoolOptions::from_env).
+#if !defined(_WIN32)
+      if (pin_flag) setenv("XRBENCH_PIN", "1", 1);
+#endif
+      return run_sweep(opt);
+    }
 
     const auto system = hw_config ? hw::load_accelerator(*hw_config)
                                   : hw::make_accelerator(accel_id, pes);

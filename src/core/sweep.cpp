@@ -404,25 +404,6 @@ std::vector<std::unique_ptr<runtime::CostTable>> SweepEngine::build_cost_tables(
   return tables;
 }
 
-costmodel::MemoStats SweepEngine::memo_stats() const {
-  costmodel::MemoStats total;
-  std::unique_lock lock(models_mutex_);
-  for (const auto& [params, model] : models_) {
-    const auto s = model->memo_stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.inserts += s.inserts;
-    total.entries += s.entries;
-    if (total.shard_entries.size() < s.shard_entries.size()) {
-      total.shard_entries.resize(s.shard_entries.size(), 0);
-    }
-    for (std::size_t i = 0; i < s.shard_entries.size(); ++i) {
-      total.shard_entries[i] += s.shard_entries[i];
-    }
-  }
-  return total;
-}
-
 costmodel::MemoStats SweepEngine::model_memo_stats() const {
   costmodel::MemoStats total;
   std::unique_lock lock(models_mutex_);

@@ -98,26 +98,27 @@ class SweepEngine {
 
   /// Builds one CostTable per system in parallel (bench_table5-style
   /// cost-model sweeps). All builds share `cost_model` and therefore its
-  /// LayerCost memo — identical sub-accelerator partitions across designs
-  /// are evaluated once.
+  /// model-level memo — a (model, sub-accelerator) pair that recurs across
+  /// designs is evaluated once.
   std::vector<std::unique_ptr<runtime::CostTable>> build_cost_tables(
       const std::vector<hw::AcceleratorSystem>& systems,
       const costmodel::AnalyticalCostModel& cost_model);
 
-  /// Layer-cost memo counters aggregated over every cost model this engine
-  /// has instantiated (hit-rate telemetry for bench_sweep_scaling). Call
-  /// after the sweep returns; mid-flight values are approximate.
-  costmodel::MemoStats memo_stats() const;
+  /// Always an empty MemoStats: the cost model has no layer memo (the
+  /// model-level memo is the only one). Kept so layer-memo telemetry keeps
+  /// reading zero lookups.
+  costmodel::MemoStats memo_stats() const { return {}; }
 
-  /// Model-level memo counters (the all-levels cache above the layer memo)
-  /// aggregated over every cost model this engine has instantiated. Same
-  /// call-after-quiesce contract as memo_stats().
+  /// Model-level memo counters aggregated over every cost model this
+  /// engine has instantiated. Call after the sweep returns; mid-flight
+  /// values are approximate.
   costmodel::MemoStats model_memo_stats() const;
 
  private:
   /// Shared cost model for a point's energy constants. Points with equal
-  /// EnergyParams share one model instance (and so its LayerCost memo),
-  /// which is what makes PE-count sweeps stop recomputing identical layers.
+  /// EnergyParams share one model instance (and so its model-level memo),
+  /// which is what makes repeated designs stop recomputing identical
+  /// (model, sub-accelerator) pairs.
   costmodel::AnalyticalCostModel& model_for(
       const costmodel::EnergyParams& energy);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -34,7 +33,7 @@ std::size_t hash_combine(std::size_t seed, std::size_t v) {
   // Polynomial accumulation with an odd multiplier (FNV-style): the
   // multiply shifts every prior field's bits upward so small integers in
   // successive fields never cancel; avalanching is deferred to the single
-  // splitmix64 finalizer in make_key.
+  // splitmix64 finalizer in make_model_key.
   return (seed ^ v) * 0x9e3779b97f4a7c15ULL;
 }
 
@@ -45,59 +44,22 @@ std::size_t hash_double(double d) {
   return static_cast<std::size_t>(bits);
 }
 
-/// SIMD-kernel toggle; defaults from XRBENCH_SIMD at first use (function-
-/// local static so there is no global-init ordering hazard).
-std::atomic<bool>& simd_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("XRBENCH_SIMD");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }()};
-  return flag;
-}
-
 }  // namespace
 
-bool simd_enabled() { return simd_flag().load(std::memory_order_relaxed); }
-
-void set_simd_enabled(bool enabled) {
-  simd_flag().store(enabled, std::memory_order_relaxed);
-}
-
 void AllLevelsScratch::ensure(std::size_t levels, std::size_t layers) {
-  constexpr std::size_t kW = AnalyticalCostModel::kLevelLaneWidth;
   num_levels = levels;
-  padded = (levels + kW - 1) / kW * kW;
-  // Parameter lanes: pad with benign 1.0 so the full-width kernel never
-  // divides by zero (pad outputs are computed but never read back).
-  const auto param_lane = [this](std::vector<double>& v) {
-    if (v.size() < padded) v.resize(padded);
-    for (std::size_t l = num_levels; l < padded; ++l) v[l] = 1.0;
-  };
-  param_lane(clock_ghz);
-  param_lane(noc_bpc);
-  param_lane(offchip_bpc);
-  param_lane(vr);
-  // Output lanes: pad with 0.0 so the scalar escape path (which only writes
-  // the real levels) feeds zeros into the full-width accumulator loops.
-  const auto out_lane = [this](std::vector<double>& v) {
-    if (v.size() < padded) v.resize(padded);
-    for (std::size_t l = num_levels; l < padded; ++l) v[l] = 0.0;
-  };
-  out_lane(noc_cycles);
-  out_lane(dram_cycles);
-  out_lane(total_cycles);
-  out_lane(latency_ms);
-  out_lane(utilization);
-  out_lane(static_mj);
-  out_lane(energy_mj);
-  const auto acc_lane = [this](std::vector<double>& v) {
-    if (v.size() < padded) v.resize(padded);
-    std::fill(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(padded), 0.0);
-  };
-  acc_lane(acc_latency_ms);
-  acc_lane(acc_energy_mj);
-  acc_lane(acc_static_mj);
-  acc_lane(acc_mac_weighted_util);
+  // resize/assign within capacity never reallocates: a warmed scratch stays
+  // allocation-free. Parameter and output lanes are fully overwritten by
+  // every call; only the accumulators need zeroing.
+  for (auto* lane : {&clock_ghz, &noc_bpc, &offchip_bpc, &vr, &noc_cycles,
+                     &dram_cycles, &total_cycles, &latency_ms, &utilization,
+                     &static_mj, &energy_mj}) {
+    lane->resize(levels);
+  }
+  for (auto* acc : {&acc_latency_ms, &acc_energy_mj, &acc_static_mj,
+                    &acc_mac_weighted_util}) {
+    acc->assign(levels, 0.0);
+  }
   if (result.size() != levels) result.resize(levels);
   for (auto& mc : result) {
     mc.latency_ms = 0.0;
@@ -138,101 +100,9 @@ AnalyticalCostModel& AnalyticalCostModel::operator=(
     const AnalyticalCostModel& other) {
   if (this != &other) {
     energy_ = other.energy_;
-    clear_memo();
     clear_model_memo();
   }
   return *this;
-}
-
-bool AnalyticalCostModel::LayerCostKey::operator==(
-    const LayerCostKey& o) const {
-  // hash first: a one-word reject covers almost every bucket collision.
-  return hash == o.hash && op_type == o.op_type && k == o.k && c == o.c &&
-         y == o.y && x == o.x && r == o.r && s == o.s && elems == o.elems &&
-         dataflow == o.dataflow && num_pes == o.num_pes &&
-         sram_bytes == o.sram_bytes && clock_ghz == o.clock_ghz &&
-         noc_bytes_per_cycle == o.noc_bytes_per_cycle &&
-         offchip_bytes_per_cycle == o.offchip_bytes_per_cycle;
-}
-
-AnalyticalCostModel::LayerCostKey AnalyticalCostModel::make_key(
-    const Layer& layer, const SubAccelConfig& accel) {
-  LayerCostKey key;
-  key.op_type = static_cast<int>(layer.type);
-  key.k = layer.k;
-  key.c = layer.c;
-  key.y = layer.y;
-  key.x = layer.x;
-  key.r = layer.r;
-  key.s = layer.s;
-  key.elems = layer.elems;
-  key.dataflow = static_cast<int>(accel.dataflow);
-  key.num_pes = accel.num_pes;
-  key.sram_bytes = accel.sram_bytes;
-  key.clock_ghz = accel.clock_ghz;
-  key.noc_bytes_per_cycle = accel.noc_bytes_per_cycle;
-  key.offchip_bytes_per_cycle = accel.offchip_bytes_per_cycle;
-  std::size_t h = static_cast<std::size_t>(key.op_type);
-  h = hash_combine(h, static_cast<std::size_t>(key.k));
-  h = hash_combine(h, static_cast<std::size_t>(key.c));
-  h = hash_combine(h, static_cast<std::size_t>(key.y));
-  h = hash_combine(h, static_cast<std::size_t>(key.x));
-  h = hash_combine(h, static_cast<std::size_t>(key.r));
-  h = hash_combine(h, static_cast<std::size_t>(key.s));
-  h = hash_combine(h, static_cast<std::size_t>(key.elems));
-  h = hash_combine(h, static_cast<std::size_t>(key.dataflow));
-  h = hash_combine(h, static_cast<std::size_t>(key.num_pes));
-  h = hash_combine(h, static_cast<std::size_t>(key.sram_bytes));
-  h = hash_combine(h, hash_double(key.clock_ghz));
-  h = hash_combine(h, hash_double(key.noc_bytes_per_cycle));
-  h = hash_combine(h, hash_double(key.offchip_bytes_per_cycle));
-  key.hash = static_cast<std::size_t>(splitmix64(h));
-  return key;
-}
-
-std::size_t AnalyticalCostModel::shard_index(std::size_t hash) {
-  static_assert((kMemoShards & (kMemoShards - 1)) == 0,
-                "kMemoShards must be a power of two");
-  // Fibonacci fold, then take the top bits: the map's buckets consume the
-  // low bits of the same hash, so shard choice must come from elsewhere.
-  const std::uint64_t folded =
-      static_cast<std::uint64_t>(hash) * 0x9e3779b97f4a7c15ULL;
-  constexpr unsigned kShardBits = 4;  // log2(kMemoShards)
-  static_assert((1u << kShardBits) == kMemoShards, "shard bits mismatch");
-  return static_cast<std::size_t>(folded >> (64 - kShardBits));
-}
-
-std::size_t AnalyticalCostModel::memo_size() const {
-  std::size_t total = 0;
-  for (const auto& shard : memo_shards_) {
-    std::shared_lock lock(shard.mutex);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-void AnalyticalCostModel::clear_memo() const {
-  for (auto& shard : memo_shards_) {
-    std::unique_lock lock(shard.mutex);
-    shard.map.clear();
-    shard.hits.store(0, std::memory_order_relaxed);
-    shard.misses = 0;
-    shard.inserts = 0;
-  }
-}
-
-MemoStats AnalyticalCostModel::memo_stats() const {
-  MemoStats stats;
-  stats.shard_entries.reserve(kMemoShards);
-  for (const auto& shard : memo_shards_) {
-    std::shared_lock lock(shard.mutex);
-    stats.hits += shard.hits.load(std::memory_order_relaxed);
-    stats.misses += shard.misses;
-    stats.inserts += shard.inserts;
-    stats.entries += shard.map.size();
-    stats.shard_entries.push_back(shard.map.size());
-  }
-  return stats;
 }
 
 SpatialMapping AnalyticalCostModel::spatial_mapping(
@@ -449,16 +319,13 @@ namespace {
 //
 // One flat unit-stride loop over the level axis: straight-line lane math
 // and selects instead of branches — the shape the loop vectorizer
-// if-converts into full-width vector code (kLevelLaneWidth doubles per
-// 256-bit step, half that on 128-bit SIMD, plus a scalar epilogue for the
-// tail lanes; auto-vec verified in bench_sweep_scaling). The trip count is
-// the exact level count, not the padded width — the divides dominate this
-// loop and SIMD divide units gain nothing from padding the axis with
-// benign lanes. Every lane replays finish_layer_cost's exact FP op
-// sequence, then model_cost_at's subtract-then-scale voltage pass with a
-// per-lane select — applying the transform at vr == 1 would NOT be bit-neutral
-// ((e - s) + s != e in FP), hence the select keeps the untransformed
-// values on unit-voltage lanes.
+// if-converts into full-width vector code (four doubles per 256-bit step,
+// two on 128-bit SIMD, plus a scalar epilogue for the tail lanes). The trip
+// count is the exact level count. Every lane replays finish_layer_cost's
+// exact FP op sequence, then model_cost_at's subtract-then-scale voltage
+// pass with a per-lane select — applying the transform at vr == 1 would NOT
+// be bit-neutral ((e - s) + s != e in FP), hence the select keeps the
+// untransformed values on unit-voltage lanes.
 void finish_levels_lanes(std::size_t n, double compute, double noc_bytes,
                          double dram_bytes, double macs, double pes,
                          double pe_mw, double dynamic_mj,
@@ -542,13 +409,6 @@ double AnalyticalCostModel::dram_traffic(const Layer& layer,
   return std::min(by_weight_tiles, by_input_tiles);
 }
 
-LayerCost AnalyticalCostModel::compute_layer_cost(
-    const Layer& layer, const SubAccelConfig& accel) const {
-  return finish_layer_cost(layer_core(layer, accel), accel.clock_ghz,
-                           accel.noc_bytes_per_cycle,
-                           accel.offchip_bytes_per_cycle, accel.num_pes);
-}
-
 LayerCost AnalyticalCostModel::layer_cost(const Layer& layer,
                                           const SubAccelConfig& accel) const {
   if (!layer.valid()) {
@@ -559,30 +419,9 @@ LayerCost AnalyticalCostModel::layer_cost(const Layer& layer,
     throw std::invalid_argument("layer_cost: invalid accelerator config '" +
                                 accel.id + "'");
   }
-  const LayerCostKey key = make_key(layer, accel);
-  MemoShard& shard = memo_shards_[shard_index(key.hash)];
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      // Statistical counter: plain load+store instead of an atomic RMW.
-      // Concurrent hits on one shard can drop an increment (telemetry may
-      // undercount slightly); in exchange the hit path — by far the
-      // hottest memo path — pays no lock-prefixed instruction.
-      shard.hits.store(shard.hits.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Compute outside the lock: a concurrent duplicate computation is cheaper
-  // than serializing every miss behind a unique lock.
-  LayerCost cost = compute_layer_cost(layer, accel);
-  {
-    std::unique_lock lock(shard.mutex);
-    ++shard.misses;
-    if (shard.map.emplace(key, cost).second) ++shard.inserts;
-  }
-  return cost;
+  return finish_layer_cost(layer_core(layer, accel), accel.clock_ghz,
+                           accel.noc_bytes_per_cycle,
+                           accel.offchip_bytes_per_cycle, accel.num_pes);
 }
 
 ModelCost AnalyticalCostModel::model_cost(const ModelGraph& graph,
@@ -767,25 +606,8 @@ void AnalyticalCostModel::compute_all_levels(const ModelGraph& graph,
   }
 }
 
-std::vector<ModelCost> AnalyticalCostModel::compute_all_levels_scalar(
-    const ModelGraph& graph, const SubAccelConfig& accel) const {
-  if (!accel.valid()) {
-    throw std::invalid_argument(
-        "model_cost_all_levels: invalid accelerator config '" + accel.id +
-        "'");
-  }
-  const std::size_t num_levels = accel.dvfs.num_levels();
-  std::vector<ModelCost> result;
-  result.reserve(num_levels);
-  for (std::size_t l = 0; l < num_levels; ++l) {
-    result.push_back(model_cost_at(graph, accel, l));
-  }
-  return result;
-}
-
 std::vector<ModelCost> AnalyticalCostModel::model_cost_all_levels(
     const ModelGraph& graph, const SubAccelConfig& accel) const {
-  if (!simd_enabled()) return compute_all_levels_scalar(graph, accel);
   AllLevelsScratch scratch;
   compute_all_levels(graph, accel, scratch);
   return std::move(scratch.result);
@@ -794,13 +616,6 @@ std::vector<ModelCost> AnalyticalCostModel::model_cost_all_levels(
 const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
     const ModelGraph& graph, const SubAccelConfig& accel,
     AllLevelsScratch& scratch) const {
-  if (!simd_enabled()) {
-    // Escape hatch: run the scalar path and park its result in the scratch
-    // so the reference-returning contract holds (allocates — the
-    // zero-allocation steady state is a property of the SIMD path).
-    scratch.result = compute_all_levels_scalar(graph, accel);
-    return scratch.result;
-  }
   compute_all_levels(graph, accel, scratch);
   return scratch.result;
 }
@@ -883,8 +698,10 @@ AnalyticalCostModel::cached_model_cost_all_levels(
     std::shared_lock lock(shard.mutex);
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      // Statistical counter, same trade as the layer memo: no atomic RMW on
-      // the hit path.
+      // Statistical counter: plain load+store instead of an atomic RMW.
+      // Concurrent hits on one shard can drop an increment (telemetry may
+      // undercount slightly); in exchange the hit path pays no
+      // lock-prefixed instruction.
       shard.hits.store(shard.hits.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
       return it->second;

@@ -69,9 +69,10 @@ struct LayerCost {
   SpatialMapping mapping;
 };
 
-/// Aggregate counters of the layer-cost memo (all shards combined).
-/// hits + misses = total layer_cost() lookups; inserts can trail misses
-/// when two threads race on the same key (both compute, one emplace wins).
+/// Aggregate counters of the model-level memo (all shards combined).
+/// hits + misses = total cached_model_cost_all_levels() lookups; inserts
+/// can trail misses when two threads race on the same key (both compute,
+/// one emplace wins).
 /// The hit counter is statistical: concurrent hits on one shard may drop
 /// an increment (the hot path deliberately avoids an atomic RMW), so under
 /// parallel sweeps `hits` is a tight lower bound. Miss/insert counts are
@@ -99,16 +100,6 @@ struct ModelCost {
   std::vector<LayerCost> layers;
 };
 
-/// Runtime toggle for the SIMD level-axis kernel inside
-/// model_cost_all_levels. Defaults from the XRBENCH_SIMD environment
-/// variable at first use (unset or "1" = on, exactly "0" = off — the CI
-/// byte-diff escape hatch); settable in-process so benches can A/B both
-/// paths in one run. The two paths are bit-identical (test-enforced), so
-/// the toggle never changes results — only which instruction sequence
-/// produces them.
-bool simd_enabled();
-void set_simd_enabled(bool enabled);
-
 /// Reusable scratch for model_cost_all_levels: every per-call allocation of
 /// the level-batched kernel (the SoA level-parameter lanes, the per-layer
 /// per-level lanes the SIMD kernel writes, the accumulator lanes, and the
@@ -128,16 +119,14 @@ class AllLevelsScratch {
  private:
   friend class AnalyticalCostModel;
 
-  /// Sizes every lane for `num_levels` levels (padded to the vector width)
-  /// and every result layer list for `num_layers`, retaining capacity from
-  /// prior calls; resets accumulators and clears the result in place.
+  /// Sizes every lane to `num_levels` and every result layer list for
+  /// `num_layers`, retaining capacity from prior calls; resets accumulators
+  /// and clears the result in place.
   void ensure(std::size_t num_levels, std::size_t num_layers);
 
   std::size_t num_levels = 0;
-  std::size_t padded = 0;  ///< num_levels rounded up to the lane width.
 
-  /// SoA per-level finish parameters (pad lanes hold benign 1.0 values so
-  /// the full-width kernel never divides by zero).
+  /// SoA per-level finish parameters.
   std::vector<double> clock_ghz;
   std::vector<double> noc_bpc;
   std::vector<double> offchip_bpc;
@@ -170,11 +159,17 @@ class AllLevelsScratch {
 /// max(compute, NoC, DRAM). Energy combines MAC, SRAM+NoC, DRAM and static
 /// components. See DESIGN.md §2 for the substitution rationale vs. the
 /// MAESTRO binary used by the paper's artifact.
+///
+/// One evaluation kernel, one memo: CostTable builds go through
+/// cached_model_cost_all_levels, the model-level memo over the
+/// level-batched model_cost_all_levels kernel. layer_cost / model_cost /
+/// model_cost_at are the un-memoized per-level reference that the kernel
+/// is tested against bit for bit.
 class AnalyticalCostModel {
  public:
   explicit AnalyticalCostModel(EnergyParams energy = {});
 
-  /// Copying shares the energy constants but starts a fresh memo cache.
+  /// Copying shares the energy constants but starts a fresh model memo.
   AnalyticalCostModel(const AnalyticalCostModel& other);
   AnalyticalCostModel& operator=(const AnalyticalCostModel& other);
 
@@ -183,6 +178,10 @@ class AnalyticalCostModel {
   SpatialMapping spatial_mapping(const Layer& layer, Dataflow dataflow,
                                  std::int64_t num_pes) const;
 
+  /// Cost of one layer at the nominal clock. Validates both arguments
+  /// (std::invalid_argument) and evaluates from scratch on every call:
+  /// layer_cost, model_cost and model_cost_at are the un-memoized scalar
+  /// reference the level-batched kernel is tested against.
   LayerCost layer_cost(const Layer& layer, const SubAccelConfig& accel) const;
 
   ModelCost model_cost(const ModelGraph& graph,
@@ -217,17 +216,15 @@ class AnalyticalCostModel {
   /// into `scratch` and returns a reference into it (valid until the next
   /// call with the same scratch). Bit-identical to the value-returning
   /// overload; the only difference is that a warmed scratch makes the call
-  /// allocation-free. The per-level tail runs through the SIMD
-  /// finish_layer_levels kernel when simd_enabled(), the original scalar
-  /// finish_layer_cost loop otherwise — both produce identical bits.
+  /// allocation-free.
   const std::vector<ModelCost>& model_cost_all_levels(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch& scratch) const;
 
   /// Memoized model_cost_all_levels: a sharded (graph signature x sub-accel
-  /// config x all-levels) cache ABOVE the per-layer memo, so repeated
-  /// (model, sub-accelerator) pairs across sweep points skip the layer walk
-  /// entirely (CostTable builds call this). The returned vector is shared —
+  /// config x all-levels) cache, so repeated (model, sub-accelerator) pairs
+  /// across sweep points skip the layer walk entirely (CostTable builds call
+  /// this). The returned vector is shared —
   /// concurrent builds of identical designs read one cached copy. Keys
   /// compare the full layer-dimension list, never just a hash, so a
   /// collision can not silently alias two models.
@@ -254,76 +251,30 @@ class AnalyticalCostModel {
   /// Vector ops run on the PE array as SIMD lanes at reduced efficiency.
   static constexpr double kVectorOpEfficiency = 0.25;
 
-  /// Lane width the level axis is padded to in AllLevelsScratch. Four
-  /// doubles = one AVX2 register; on 128-bit SIMD the fixed-width inner
-  /// loops become two registers, and the padded tail means neither needs an
-  /// epilogue.
-  static constexpr std::size_t kLevelLaneWidth = 4;
-
-  /// Entries in the (layer signature, sub-accel config) memo. Sweeps over
-  /// PE counts / designs re-evaluate many identical layers (the same conv
-  /// shapes recur across the model zoo, and different Table-5 designs share
-  /// identical sub-accelerator partitions); the memo makes those hits free.
-  std::size_t memo_size() const;
-  void clear_memo() const;
-
-  /// Hit/miss/insert counters plus per-shard occupancy, aggregated across
-  /// all shards. Miss/insert counts and entries are exact after the sweep
-  /// quiesces (e.g. past ThreadPool::wait_idle); the hit count is a tight
-  /// lower bound — concurrent hits on one shard can permanently drop an
-  /// increment (see MemoStats).
-  MemoStats memo_stats() const;
-
-  /// Shard count of the memo (power of two; shard = top bits of the key
-  /// hash). One shared_mutex per shard instead of one for the whole memo:
-  /// concurrent CostTable builds inside a sweep hit disjoint shards and
-  /// stop serializing on a single lock.
-  static constexpr std::size_t kMemoShards = 16;
-
   /// Entries in the model-level memo (distinct (graph, sub-accel config)
   /// pairs evaluated through cached_model_cost_all_levels).
   std::size_t model_memo_size() const;
   void clear_model_memo() const;
 
   /// Hit/miss/insert counters plus per-shard occupancy of the model-level
-  /// memo, same exactness contract as memo_stats() (hits are a tight lower
-  /// bound under concurrency, misses/inserts/entries exact at quiesce).
+  /// memo, aggregated across all shards. Miss/insert counts and entries are
+  /// exact after the sweep quiesces (e.g. past ThreadPool::wait_idle); the
+  /// hit count is a tight lower bound — concurrent hits on one shard can
+  /// permanently drop an increment (see MemoStats).
   MemoStats model_memo_stats() const;
 
-  /// Shard count of the model-level memo. Fewer shards than the layer memo:
-  /// the key space is per (model, sub-accel config), orders of magnitude
-  /// smaller than per layer.
+  /// Shard count of the model-level memo (power of two; shard = top bits of
+  /// the key hash). One shared_mutex per shard instead of one for the whole
+  /// memo: concurrent CostTable builds inside a sweep hit disjoint shards
+  /// and stop serializing on a single lock.
   static constexpr std::size_t kModelMemoShards = 8;
 
  private:
-  /// Memo key: everything layer_cost() depends on other than the energy
-  /// constants (fixed per model instance). Layer names are deliberately
-  /// excluded — two layers with identical dims and type cost the same.
-  /// The mixed hash over all fields is precomputed once by make_key (it
-  /// feeds three consumers per lookup — shard choice, find, emplace — and
-  /// the per-field splitmix mixing is not free); LayerCostKeyHash just
-  /// reads it back.
-  struct LayerCostKey {
-    int op_type;
-    std::int64_t k, c, y, x, r, s, elems;
-    int dataflow;
-    std::int64_t num_pes, sram_bytes;
-    double clock_ghz, noc_bytes_per_cycle, offchip_bytes_per_cycle;
-    std::size_t hash = 0;  ///< Set by make_key; excluded from equality.
-    bool operator==(const LayerCostKey& o) const;
-  };
-  struct LayerCostKeyHash {
-    std::size_t operator()(const LayerCostKey& key) const { return key.hash; }
-  };
-
-  static LayerCostKey make_key(const Layer& layer,
-                               const SubAccelConfig& accel);
-
   /// The level-invariant part of one layer's cost: everything that does not
   /// depend on the clock or the per-cycle bandwidths. finish_layer_cost
   /// turns a core into a LayerCost for one operating point; the per-level
-  /// path (compute_layer_cost) and the batched all-levels kernel both run
-  /// through this exact pair, which is what makes them bit-identical.
+  /// path (layer_cost) and the batched all-levels kernel both run through
+  /// this exact pair, which is what makes them bit-identical.
   struct LayerCostCore {
     bool vector_op = false;
     SpatialMapping mapping;
@@ -349,65 +300,33 @@ class AnalyticalCostModel {
                               std::int64_t num_pes) const;
 
   /// SIMD level-axis tail: applies finish_layer_cost's expression sequence
-  /// — plus the voltage pass — to one LayerCostCore across every (padded)
-  /// level lane of `scratch` at once, writing the per-level output lanes.
-  /// Each lane performs the exact FP op sequence of the scalar path
-  /// (including the vr != 1.0 select preserving unscaled values), so the
-  /// results are bit-identical, not tolerance-equal.
+  /// — plus the voltage pass — to one LayerCostCore across every level lane
+  /// of `scratch` at once, writing the per-level output lanes.
+  /// Each lane performs the exact FP op sequence of finish_layer_cost plus
+  /// model_cost_at's voltage pass (including the vr != 1.0 select
+  /// preserving unscaled values), so the results are bit-identical, not
+  /// tolerance-equal.
   void finish_layer_levels(const LayerCostCore& core, std::int64_t num_pes,
                            AllLevelsScratch& scratch) const;
 
-  /// Shared body of both model_cost_all_levels overloads on the SIMD path:
-  /// the single layer walk with the vectorized per-level tail, writing into
-  /// `scratch`.
+  /// The one body behind both model_cost_all_levels overloads: the single
+  /// layer walk with the vectorized per-level tail, writing into `scratch`.
   void compute_all_levels(const ModelGraph& graph,
                           const SubAccelConfig& accel,
                           AllLevelsScratch& scratch) const;
 
-  /// The XRBENCH_SIMD=0 escape hatch: the scalar level axis — one full
-  /// model_cost_at walk per level, no level batching, no SoA lanes, no
-  /// scratch. Bit-identical to the SIMD path (the kernel replays
-  /// model_cost_at's exact FP op sequence per lane); the contrast between
-  /// the two is what bench_sweep_scaling's simd_speedup measures.
-  std::vector<ModelCost> compute_all_levels_scalar(
-      const ModelGraph& graph, const SubAccelConfig& accel) const;
-
   /// DRAM traffic with SRAM-capacity-driven re-fetch (choose the cheaper of
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
-
-  LayerCost compute_layer_cost(const Layer& layer,
-                               const SubAccelConfig& accel) const;
-
-  /// One memo shard: its own map, lock and counters. Lookups take the
-  /// shard's shared lock, inserts its unique lock (a rare duplicate
-  /// computation on a race is harmless — both threads computed the same
-  /// value, one emplace wins).
-  struct MemoShard {
-    /// Pre-sized past the first few rehash doublings: a cold CostTable
-    /// build inserts ~100+ entries per shard, and the early growth steps
-    /// dominated the sharded build's serial overhead.
-    MemoShard() { map.reserve(128); }
-    std::unordered_map<LayerCostKey, LayerCost, LayerCostKeyHash> map;
-    mutable std::shared_mutex mutex;
-    /// Written under the shared lock (concurrently) — atomic, lossy store.
-    std::atomic<std::uint64_t> hits{0};
-    /// Written only under the unique lock — plain fields, exact.
-    std::uint64_t misses = 0;
-    std::uint64_t inserts = 0;
-  };
-
-  /// Shard of `hash`: the top bits, Fibonacci-folded first so the shard
-  /// index stays decorrelated from the map's bucket index (which consumes
-  /// the low bits).
-  static std::size_t shard_index(std::size_t hash);
 
   /// Model-level memo key: the graph's full layer-dimension signature plus
   /// every sub-accel field model_cost_all_levels reads — including the DVFS
   /// ladder, since the value covers all levels. Names are excluded on both
   /// sides (two graphs with identical layer lists cost the same), and so
   /// are transition_ms / idle_mw / nominal_level, which never enter a
-  /// ModelCost. The mixed hash is precomputed like LayerCostKey's.
+  /// ModelCost. The mixed hash over all fields is precomputed once by
+  /// make_model_key (it feeds three consumers per lookup — shard choice,
+  /// find, emplace); ModelCostKeyHash just reads it back.
   struct ModelCostKey {
     std::vector<std::int64_t> layer_sig;  ///< 8 packed fields per layer.
     int dataflow;
@@ -423,23 +342,29 @@ class AnalyticalCostModel {
   static ModelCostKey make_model_key(const ModelGraph& graph,
                                      const SubAccelConfig& accel);
 
-  /// One model-memo shard, same locking discipline as MemoShard (shared
-  /// lock + lossy hit counter on the hit path, unique lock on insert).
+  /// One model-memo shard: its own map, lock and counters. Lookups take
+  /// the shard's shared lock, inserts its unique lock (a rare duplicate
+  /// computation on a race is harmless — both threads computed the same
+  /// value, one emplace wins).
   struct ModelMemoShard {
     std::unordered_map<ModelCostKey,
                        std::shared_ptr<const std::vector<ModelCost>>,
                        ModelCostKeyHash>
         map;
     mutable std::shared_mutex mutex;
+    /// Written under the shared lock (concurrently) — atomic, lossy store.
     std::atomic<std::uint64_t> hits{0};
+    /// Written only under the unique lock — plain fields, exact.
     std::uint64_t misses = 0;
     std::uint64_t inserts = 0;
   };
+
+  /// Shard of `hash`: the top bits, Fibonacci-folded first so the shard
+  /// index stays decorrelated from the map's bucket index (which consumes
+  /// the low bits).
   static std::size_t model_shard_index(std::size_t hash);
 
   EnergyParams energy_;
-  /// Thread-safe sharded LayerCost memo (see kMemoShards).
-  mutable std::array<MemoShard, kMemoShards> memo_shards_;
   /// Thread-safe sharded all-levels ModelCost memo (see kModelMemoShards).
   mutable std::array<ModelMemoShard, kModelMemoShards> model_memo_shards_;
 };

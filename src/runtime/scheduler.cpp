@@ -16,7 +16,7 @@ bool context_ready(const DispatchContext& ctx) {
 /// Canonical order-independent tie-break: earlier deadline, then earlier
 /// request time, then lower frame, then lower task index. Returns true when
 /// `a` should win over `b`. The pending vector is swap-remove-compacted
-/// (see SchedulerContext), so every policy must resolve ties through this
+/// (see DispatchContext), so every policy must resolve ties through this
 /// instead of relying on element order.
 bool precedes(const InferenceRequest& a, const InferenceRequest& b) {
   if (a.tdl_ms != b.tdl_ms) return a.tdl_ms < b.tdl_ms;

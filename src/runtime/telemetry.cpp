@@ -20,7 +20,7 @@ void Telemetry::reset(std::size_t num_sub_accels, double window_end_ms) {
   // vectors) keep their capacity, so a reused Telemetry allocates nothing.
   if (subs_.size() != num_sub_accels) subs_.resize(num_sub_accels);
   for (auto& sub : subs_) {
-    const auto history = std::move(sub.recent_levels);
+    auto history = std::move(sub.recent_levels);
     sub = SubAccelTelemetry{};
     sub.recent_levels = std::move(history);
     sub.recent_levels.clear();

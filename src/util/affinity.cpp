@@ -1,11 +1,7 @@
 #include "util/affinity.h"
 
 #if defined(__linux__)
-#include <dirent.h>
 #include <sched.h>
-
-#include <cstdio>
-#include <cstring>
 #endif
 
 namespace xrbench::util::affinity {
@@ -41,42 +37,6 @@ bool pin_current_thread(std::size_t slot) {
   return sched_setaffinity(0, sizeof(set), &set) == 0;
 }
 
-bool restrict_to_cpus(const std::vector<int>& cpus) {
-  if (cpus.empty()) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) {
-      CPU_SET(cpu, &set);
-      any = true;
-    }
-  }
-  if (!any) return false;
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-}
-
-int numa_node_of(int cpu) {
-  if (cpu < 0) return -1;
-  char path[64];
-  std::snprintf(path, sizeof(path), "/sys/devices/system/cpu/cpu%d", cpu);
-  DIR* dir = opendir(path);
-  if (dir == nullptr) return -1;
-  int node = -1;
-  while (const dirent* entry = readdir(dir)) {
-    // The cpu directory contains exactly one `node<K>` symlink.
-    if (std::strncmp(entry->d_name, "node", 4) == 0) {
-      int parsed = -1;
-      if (std::sscanf(entry->d_name + 4, "%d", &parsed) == 1) {
-        node = parsed;
-        break;
-      }
-    }
-  }
-  closedir(dir);
-  return node;
-}
-
 #else  // unsupported platform: every operation is a no-op
 
 bool supported() { return false; }
@@ -86,10 +46,6 @@ std::vector<int> allowed_cpus() { return {}; }
 std::size_t cpu_count() { return 1; }
 
 bool pin_current_thread(std::size_t) { return false; }
-
-bool restrict_to_cpus(const std::vector<int>&) { return false; }
-
-int numa_node_of(int) { return -1; }
 
 #endif
 

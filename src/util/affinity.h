@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <vector>
 
-/// CPU/NUMA affinity control for sweep workers and shard processes.
+/// CPU affinity control for sweep workers.
 ///
 /// Every function degrades to a documented no-op on platforms without an
 /// affinity API (supported() returns false there), so callers never need
@@ -30,17 +30,5 @@ std::size_t cpu_count();
 /// false (leaving scheduling untouched) when unsupported or the syscall
 /// fails.
 bool pin_current_thread(std::size_t slot);
-
-/// Restricts the calling thread's CPU mask to `cpus`. Threads spawned
-/// afterwards inherit the mask, so calling this before constructing a
-/// worker pool boxes the whole process onto a CPU slice (the shard-mode
-/// deployment: shard i of N takes the i-th slice of the machine). False
-/// when unsupported, `cpus` is empty, or the syscall fails.
-bool restrict_to_cpus(const std::vector<int>& cpus);
-
-/// NUMA node of `cpu` from sysfs (/sys/devices/system/cpu/cpu<N>/node<K>);
-/// -1 when the node is unknown, the CPU id is invalid, or the platform has
-/// no sysfs.
-int numa_node_of(int cpu);
 
 }  // namespace xrbench::util::affinity

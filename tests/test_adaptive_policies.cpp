@@ -17,12 +17,7 @@ using models::TaskId;
 
 // ---- DispatchContext API contract (compile-time) --------------------------
 
-// The two policy interfaces consume ONE context type; the legacy names are
-// aliases of it, so policies written against either spelling are identical.
-static_assert(std::is_same_v<SchedulerContext, DispatchContext>,
-              "SchedulerContext must alias DispatchContext");
-static_assert(std::is_same_v<GovernorContext, DispatchContext>,
-              "GovernorContext must alias DispatchContext");
+// The two policy interfaces consume ONE context type.
 static_assert(
     std::is_same_v<decltype(&Scheduler::pick),
                    std::optional<Assignment> (Scheduler::*)(

@@ -57,17 +57,6 @@ TEST(Affinity, AllowedCpusConsistentWithCpuCount) {
   }
 }
 
-TEST(Affinity, NumaNodeOfRejectsInvalidCpus) {
-  namespace aff = util::affinity;
-  EXPECT_EQ(aff::numa_node_of(-1), -1);
-  EXPECT_EQ(aff::numa_node_of(1 << 20), -1);
-  if (aff::supported()) {
-    // A real CPU resolves to a node on sysfs systems, or stays unknown
-    // (-1) where sysfs is absent — never anything below -1.
-    EXPECT_GE(aff::numa_node_of(aff::allowed_cpus().front()), -1);
-  }
-}
-
 TEST(Affinity, PinCurrentThreadOnlyAffectsThatThread) {
   namespace aff = util::affinity;
   const auto before = aff::allowed_cpus();
@@ -85,12 +74,6 @@ TEST(Affinity, PinCurrentThreadOnlyAffectsThatThread) {
     EXPECT_EQ(visible.load(), 1u);  // pinned thread sees exactly its CPU
     EXPECT_EQ(aff::allowed_cpus(), before);
   }
-}
-
-TEST(Affinity, RestrictToCpusRejectsEmptyAndInvalidSets) {
-  namespace aff = util::affinity;
-  EXPECT_FALSE(aff::restrict_to_cpus({}));
-  EXPECT_FALSE(aff::restrict_to_cpus({-1, -7}));
 }
 
 TEST(ThreadPoolPin, OptionsFromEnvRequireExactlyOne) {

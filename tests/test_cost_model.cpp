@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "models/zoo.h"
-
 namespace xrbench::costmodel {
 namespace {
 
@@ -239,82 +237,6 @@ INSTANTIATE_TEST_SUITE_P(
                       CostCase{Dataflow::kRS, 1024},
                       CostCase{Dataflow::kRS, 4096},
                       CostCase{Dataflow::kRS, 8192}));
-
-TEST(Memo, CountsHitsMissesAndInserts) {
-  AnalyticalCostModel cm;
-  const auto a = accel(Dataflow::kWS, 4096);
-  const Layer l = conv2d("c", 64, 64, 28, 28, 3);
-
-  EXPECT_EQ(cm.memo_stats().entries, 0u);
-  cm.layer_cost(l, a);
-  auto s = cm.memo_stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.inserts, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.shard_entries.size(), AnalyticalCostModel::kMemoShards);
-
-  cm.layer_cost(l, a);
-  cm.layer_cost(l, a);
-  s = cm.memo_stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_DOUBLE_EQ(s.hit_rate(), 2.0 / 3.0);
-
-  cm.clear_memo();
-  s = cm.memo_stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.entries, 0u);
-}
-
-TEST(Memo, ShardedLookupStaysConsistent) {
-  // The same key must land in the same shard every time: a second lookup of
-  // every zoo layer is a pure hit and adds no entries.
-  AnalyticalCostModel cm;
-  const auto a = accel(Dataflow::kRS, 2048);
-  for (models::TaskId t : models::all_tasks()) {
-    cm.model_cost(models::model_graph(t), a);
-  }
-  const auto first = cm.memo_stats();
-  EXPECT_GT(first.entries, 0u);
-  for (models::TaskId t : models::all_tasks()) {
-    cm.model_cost(models::model_graph(t), a);
-  }
-  const auto second = cm.memo_stats();
-  EXPECT_EQ(second.entries, first.entries);
-  EXPECT_EQ(second.misses, first.misses);
-  EXPECT_GT(second.hits, first.hits);
-}
-
-TEST(Memo, ShardDistributionIsBalancedOnModelZoo) {
-  // The PE-count-sweep clustering regression: memo keys differ only in a
-  // few small integer fields, so a weak hash piles whole key families into
-  // a couple of shards and the sharded locks degenerate back to one. Build
-  // the memo over the zoo x a PE/dataflow grid and require every shard to
-  // stay under 2x the mean occupancy.
-  AnalyticalCostModel cm;
-  for (auto df : {Dataflow::kWS, Dataflow::kOS, Dataflow::kRS}) {
-    for (std::int64_t pes : {1024ll, 2048ll, 4096ll, 8192ll}) {
-      const auto a = accel(df, pes);
-      for (models::TaskId t : models::all_tasks()) {
-        cm.model_cost(models::model_graph(t), a);
-      }
-    }
-  }
-  const auto stats = cm.memo_stats();
-  ASSERT_EQ(stats.shard_entries.size(), AnalyticalCostModel::kMemoShards);
-  ASSERT_GT(stats.entries, 10 * AnalyticalCostModel::kMemoShards)
-      << "not enough entries for a meaningful distribution check";
-  const double mean = static_cast<double>(stats.entries) /
-                      static_cast<double>(AnalyticalCostModel::kMemoShards);
-  for (std::size_t i = 0; i < stats.shard_entries.size(); ++i) {
-    EXPECT_LE(static_cast<double>(stats.shard_entries[i]), 2.0 * mean)
-        << "shard " << i << " holds " << stats.shard_entries[i] << " of "
-        << stats.entries << " entries (mean " << mean << ")";
-  }
-}
 
 }  // namespace
 }  // namespace xrbench::costmodel

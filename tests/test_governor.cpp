@@ -171,9 +171,9 @@ class GovernorTest : public ::testing::Test {
       : system_(hw::with_default_dvfs(hw::make_accelerator('J', 8192))),
         table_(system_, cost_model_) {}
 
-  GovernorContext ctx(const InferenceRequest& req, std::size_t sa,
+  DispatchContext ctx(const InferenceRequest& req, std::size_t sa,
                       double now = 0.0) {
-    GovernorContext c;
+    DispatchContext c;
     c.now_ms = now;
     c.request = &req;
     c.sub_accel = sa;

@@ -1,6 +1,7 @@
 // The raw-speed ladder's correctness contracts: the level-batched
 // all-levels kernel must be bit-identical to the per-level path, the
-// model-level memo must count and shard like the layer memo, and a warm
+// model-level memo must count hits/misses and spread keys evenly across its
+// shards, and a warm
 // (memoized) full-suite sweep must reproduce the cold run bit-exactly at
 // any worker count.
 
@@ -168,8 +169,8 @@ TEST(ModelMemo, CachedValueMatchesUncachedKernel) {
 }
 
 TEST(ModelMemo, ShardDistributionIsBalancedOnModelZoo) {
-  // Same regression shape as the layer memo's test: keys differing only in
-  // small integer fields must not pile into a couple of shards. The grid
+  // The PE-count-sweep clustering regression: keys differing only in small
+  // integer fields must not pile into a couple of shards. The grid
   // (3 dataflows x 4 PE counts x zoo) gives well over 10 entries per shard.
   costmodel::AnalyticalCostModel cm;
   for (auto df : {costmodel::Dataflow::kWS, costmodel::Dataflow::kOS,

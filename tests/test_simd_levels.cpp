@@ -1,9 +1,10 @@
 // The SIMD level-axis kernel's contracts: the vectorized per-level tail of
-// model_cost_all_levels must be BIT-identical to the scalar path (layer by
-// layer, across the model zoo, the default five-level ladder AND awkward
-// level counts that exercise the padded tail), scratch reuse must be
-// invisible to results, and a warmed scratch must make the kernel
-// allocation-free (counting-probe-enforced).
+// model_cost_all_levels must be BIT-identical to the un-memoized per-level
+// reference model_cost_at (layer by layer, across the model zoo, the
+// default five-level ladder AND awkward level counts that exercise the
+// loop's scalar epilogue), scratch reuse must be invisible to results, and
+// a warmed scratch must make the kernel allocation-free
+// (counting-probe-enforced).
 
 #include <gtest/gtest.h>
 
@@ -46,17 +47,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace xrbench {
 namespace {
 
-/// RAII save/restore of the process-wide SIMD toggle so tests can flip it
-/// without leaking state into other tests.
-class SimdGuard {
- public:
-  SimdGuard() : saved_(costmodel::simd_enabled()) {}
-  ~SimdGuard() { costmodel::set_simd_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 void expect_layer_cost_eq(const costmodel::LayerCost& a,
                           const costmodel::LayerCost& b) {
   EXPECT_EQ(a.compute_cycles, b.compute_cycles);
@@ -87,7 +77,7 @@ void expect_model_cost_eq(const costmodel::ModelCost& a,
 /// A strictly-ascending k-point ladder anchored at `nominal_clock` (the
 /// 1.0x multiplier is always the last, nominal, point) with the default
 /// ladder's near-linear V/f relation. Level counts that are not multiples
-/// of kLevelLaneWidth exercise the SIMD kernel's padded tail lanes.
+/// of the vector width exercise the SIMD loop's scalar epilogue.
 hw::DvfsState ladder_with_levels(std::size_t k, double nominal_clock) {
   hw::DvfsState dvfs;
   dvfs.levels.reserve(k);
@@ -112,18 +102,9 @@ costmodel::SubAccelConfig accel_with_levels(costmodel::Dataflow df,
   return a;
 }
 
-TEST(SimdLevels, ToggleRoundTrips) {
-  SimdGuard guard;
-  costmodel::set_simd_enabled(true);
-  EXPECT_TRUE(costmodel::simd_enabled());
-  costmodel::set_simd_enabled(false);
-  EXPECT_FALSE(costmodel::simd_enabled());
-}
-
-TEST(SimdLevels, BitIdenticalToScalarAcrossZooAndDefaultLadder) {
-  // The tentpole contract on the real five-level ladder: flipping the
-  // toggle changes the instruction sequence, never a single result bit.
-  SimdGuard guard;
+TEST(SimdLevels, BitIdenticalToModelCostAtAcrossZooAndDefaultLadder) {
+  // The kernel contract on the real five-level ladder: batching the level
+  // axis changes the instruction sequence, never a single result bit.
   costmodel::AnalyticalCostModel cm;
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('J', 8192));
   for (const auto& sa : sys.sub_accels) {
@@ -132,40 +113,31 @@ TEST(SimdLevels, BitIdenticalToScalarAcrossZooAndDefaultLadder) {
       SCOPED_TRACE("task " + std::string(models::task_code(t)) + " on " +
                    sa.id);
       const auto& graph = models::model_graph(t);
-      costmodel::set_simd_enabled(false);
-      const auto scalar = cm.model_cost_all_levels(graph, sa);
-      costmodel::set_simd_enabled(true);
-      const auto simd = cm.model_cost_all_levels(graph, sa);
-      ASSERT_EQ(simd.size(), scalar.size());
-      for (std::size_t lvl = 0; lvl < simd.size(); ++lvl) {
+      const auto batched = cm.model_cost_all_levels(graph, sa);
+      ASSERT_EQ(batched.size(), sa.dvfs.num_levels());
+      for (std::size_t lvl = 0; lvl < batched.size(); ++lvl) {
         SCOPED_TRACE("level " + std::to_string(lvl));
-        expect_model_cost_eq(simd[lvl], scalar[lvl]);
+        expect_model_cost_eq(batched[lvl], cm.model_cost_at(graph, sa, lvl));
       }
     }
   }
 }
 
 TEST(SimdLevels, BitIdenticalOnAwkwardLevelCounts) {
-  // 1, 2, 3, 6 and 7 levels are not multiples of the width-4 lanes: the
-  // kernel runs with 3, 2, 1, 2 and 1 padded tail lanes respectively. Both
-  // paths must agree with each other AND with the per-level ground truth.
-  SimdGuard guard;
+  // 1, 2, 3, 6 and 7 levels are not multiples of the 2- or 4-wide vector
+  // steps, so every count runs part of the level axis through the scalar
+  // epilogue. Each level must still match the per-level ground truth.
   costmodel::AnalyticalCostModel cm;
   const auto& graph = models::model_graph(models::TaskId::kHT);
   for (std::size_t k : {1u, 2u, 3u, 6u, 7u}) {
     SCOPED_TRACE("levels " + std::to_string(k));
     const auto a = accel_with_levels(costmodel::Dataflow::kWS, 4096, k);
     ASSERT_TRUE(a.valid());
-    costmodel::set_simd_enabled(false);
-    const auto scalar = cm.model_cost_all_levels(graph, a);
-    costmodel::set_simd_enabled(true);
-    const auto simd = cm.model_cost_all_levels(graph, a);
-    ASSERT_EQ(simd.size(), k);
-    ASSERT_EQ(scalar.size(), k);
+    const auto batched = cm.model_cost_all_levels(graph, a);
+    ASSERT_EQ(batched.size(), k);
     for (std::size_t lvl = 0; lvl < k; ++lvl) {
       SCOPED_TRACE("level " + std::to_string(lvl));
-      expect_model_cost_eq(simd[lvl], scalar[lvl]);
-      expect_model_cost_eq(simd[lvl], cm.model_cost_at(graph, a, lvl));
+      expect_model_cost_eq(batched[lvl], cm.model_cost_at(graph, a, lvl));
     }
   }
 }
@@ -211,33 +183,32 @@ TEST(SimdLevels, WarmedScratchIsAllocationFree) {
   EXPECT_EQ(result.size(), sa.dvfs.num_levels());
 }
 
-TEST(SimdLevels, CostTableBitIdenticalUnderBothPaths) {
-  // The CI contract in-process: a CostTable built with the SIMD kernel off
-  // equals one built with it on, cell by cell and prefix by prefix.
-  SimdGuard guard;
+TEST(SimdLevels, CostTableMatchesModelCostAt) {
+  // End to end through the CostTable build: every cell equals the
+  // per-level reference, and every layer prefix equals the left-to-right
+  // sum of the reference's per-layer costs.
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('M', 8192));
-  costmodel::set_simd_enabled(false);
-  const costmodel::AnalyticalCostModel cm_scalar;
-  const runtime::CostTable scalar(sys, cm_scalar);
-  costmodel::set_simd_enabled(true);
-  const costmodel::AnalyticalCostModel cm_simd;
-  const runtime::CostTable simd(sys, cm_simd);
+  const costmodel::AnalyticalCostModel cm;
+  const runtime::CostTable table(sys, cm);
   for (models::TaskId t : models::all_tasks()) {
-    const std::size_t layers = models::model_graph(t).num_layers();
+    const auto& graph = models::model_graph(t);
     for (std::size_t sa = 0; sa < sys.sub_accels.size(); ++sa) {
       for (std::size_t lvl = 0; lvl < sys.sub_accels[sa].dvfs.num_levels();
            ++lvl) {
-        const auto& a = scalar.cost(t, sa, lvl);
-        const auto& b = simd.cost(t, sa, lvl);
-        EXPECT_EQ(a.latency_ms, b.latency_ms);
-        EXPECT_EQ(a.energy_mj, b.energy_mj);
-        EXPECT_EQ(a.static_energy_mj, b.static_energy_mj);
-        EXPECT_EQ(a.avg_utilization, b.avg_utilization);
-        for (std::size_t k = 0; k <= layers; ++k) {
-          EXPECT_EQ(scalar.layer_latency_prefix_ms(t, sa, lvl, k),
-                    simd.layer_latency_prefix_ms(t, sa, lvl, k));
-          EXPECT_EQ(scalar.layer_energy_prefix_mj(t, sa, lvl, k),
-                    simd.layer_energy_prefix_mj(t, sa, lvl, k));
+        const auto ref = cm.model_cost_at(graph, sys.sub_accels[sa], lvl);
+        const auto& cell = table.cost(t, sa, lvl);
+        EXPECT_EQ(cell.latency_ms, ref.latency_ms);
+        EXPECT_EQ(cell.energy_mj, ref.energy_mj);
+        EXPECT_EQ(cell.static_energy_mj, ref.static_energy_mj);
+        EXPECT_EQ(cell.avg_utilization, ref.avg_utilization);
+        double lat = 0.0, energy = 0.0;
+        for (std::size_t k = 0; k <= ref.layers.size(); ++k) {
+          EXPECT_EQ(table.layer_latency_prefix_ms(t, sa, lvl, k), lat);
+          EXPECT_EQ(table.layer_energy_prefix_mj(t, sa, lvl, k), energy);
+          if (k < ref.layers.size()) {
+            lat += ref.layers[k].latency_ms;
+            energy += ref.layers[k].energy_mj;
+          }
         }
       }
     }

@@ -2,10 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "core/harness.h"
 #include "core/sweep.h"
 #include "hw/accelerator.h"
 #include "workload/scenario_program.h"
+
+// Global allocation probe for the allocation-free reset assertion: counts
+// every operator-new call in the process; the test reads the counter around
+// a single reset() call.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xrbench::runtime {
 namespace {
@@ -88,6 +115,31 @@ TEST(Telemetry, ResetClearsStateButKeepsShape) {
   EXPECT_TRUE(tel.sub_accel(0).recent_levels.empty());
   EXPECT_EQ(tel.task_completions(TaskId::kKD), 0);
   EXPECT_EQ(tel.queue_depth(), 0u);
+}
+
+TEST(Telemetry, WarmedResetIsAllocationFree) {
+  // reset() must hand each level-history buffer back to its sub-accelerator
+  // (a move, not a copy): a warmed Telemetry with a non-empty history makes
+  // zero heap allocations per reset, and keeps the history's capacity.
+  Telemetry tel;
+  tel.reset(2);
+  const auto req = make_req(TaskId::kHT, 0.0, 1e9);
+  for (std::size_t sa = 0; sa < 2; ++sa) {
+    for (int i = 0; i < 4; ++i) {
+      tel.on_dispatch(sa, req, static_cast<std::size_t>(i), i * 10.0, 0);
+      tel.on_retire(sa, req, static_cast<std::size_t>(i), i * 10.0 + 5.0,
+                    0.0, 0.0);
+    }
+  }
+  ASSERT_FALSE(tel.sub_accel(0).recent_levels.empty());
+  const std::size_t capacity = tel.sub_accel(0).recent_levels.capacity();
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  tel.reset(2);
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "warmed Telemetry::reset allocated";
+  EXPECT_TRUE(tel.sub_accel(0).recent_levels.empty());
+  EXPECT_EQ(tel.sub_accel(0).recent_levels.capacity(), capacity);
 }
 
 TEST(Telemetry, InvalidConfigRejected) {
