@@ -92,6 +92,17 @@ struct RunScratch::Impl {
   FrequencyGovernor* governor = nullptr;  ///< May be null: nominal level.
 
   sim::Simulator sim;
+  /// One generator frame of the arrival stream, with its load-generation
+  /// index: the tie-break that keeps equal-time arrivals in generation order.
+  struct Arrival {
+    InferenceRequest req;
+    std::size_t index = 0;
+  };
+  /// Every generator frame of the run, sorted by (arrival time, index) and
+  /// merged ahead of the simulator's queue. Arrivals are known before the
+  /// run starts, so they never enter the event heap, which then holds only
+  /// completions, retries and outage windows.
+  std::vector<Arrival> arrivals;
   util::Rng rng;
   Telemetry telemetry;
   std::vector<InferenceRequest> pending;
@@ -129,8 +140,9 @@ struct RunScratch::Impl {
   FaultInjector injector;
   AdmissionController* admission = nullptr;  ///< May be null: admit all.
   ResilienceStats resilience;
-  /// In-flight completion handles per sub-accelerator, written only while
-  /// the injector is active — an outage kill cancels the completion event.
+  /// In-flight dispatch per sub-accelerator, written on every dispatch: the
+  /// completion event carries only the unit index and reads the rest here,
+  /// and an outage kill cancels the completion through its handle.
   std::vector<sim::EventId> inflight_event;
   std::vector<InferenceRequest> inflight_req;
   std::vector<std::size_t> inflight_level;
@@ -160,6 +172,7 @@ struct RunScratch::Impl {
     sim.reset();
     rng.reseed(config.seed);
     pending.clear();
+    arrivals.clear();
     const std::size_t n = sys.sub_accels.size();
     accel_busy.assign(n, 0);
     accel_busy_ms.assign(n, 0.0);
@@ -330,8 +343,13 @@ struct RunScratch::Impl {
            fault_plan.spec().checkpoint;
   }
 
-  void on_complete(const InferenceRequest& req, std::size_t sa,
-                   std::size_t level, double start_ms) {
+  /// Completion of the inference in flight on `sa`. The request is copied
+  /// out first: the closing try_dispatch may start new work on `sa` and
+  /// overwrite its in-flight slot.
+  void on_complete(std::size_t sa) {
+    const InferenceRequest req = inflight_req[sa];
+    const std::size_t level = inflight_level[sa];
+    const double start_ms = inflight_start[sa];
     const double now = sim.now();
     accel_busy[sa] = 0;
     accel_busy_ms[sa] += now - start_ms;
@@ -392,9 +410,12 @@ struct RunScratch::Impl {
   /// Completion path of a transiently-faulted dispatch: the unit burned the
   /// full latency and energy but produced no frame. Retries with backoff
   /// while the budget lasts AND the deadline is still reachable at the
-  /// task's best-case latency; otherwise the frame drops here.
-  void on_fault(const InferenceRequest& req, std::size_t sa, std::size_t level,
-                double start_ms) {
+  /// task's best-case latency; otherwise the frame drops here. Reads the
+  /// in-flight slot of `sa` like on_complete.
+  void on_fault(std::size_t sa) {
+    const InferenceRequest req = inflight_req[sa];
+    const std::size_t level = inflight_level[sa];
+    const double start_ms = inflight_start[sa];
     const double now = sim.now();
     accel_busy[sa] = 0;
     accel_busy_ms[sa] += now - start_ms;
@@ -610,41 +631,30 @@ struct RunScratch::Impl {
         extra += transition_ms[sa];
       }
       last_level[sa] = static_cast<int>(level);
+      // Failover accounting: a request an outage killed earlier is now
+      // re-placed; landing on a different (healthy) unit is a failover.
+      // Only an armed injector ever sets killed_on.
+      if (req.killed_on >= 0) {
+        if (req.killed_on != static_cast<std::int32_t>(sa)) {
+          ++resilience.failovers;
+        }
+        req.killed_on = -1;
+      }
+      inflight_req[sa] = req;
+      inflight_level[sa] = level;
+      inflight_start[sa] = start;
+      inflight_extra_ms[sa] = extra;
+      // The fault decision is drawn here (it is a pure hash — placement
+      // cannot change it), and the completion handle is kept so an outage
+      // can kill this execution mid-flight.
       Impl* self = this;
-      if (faulted) {
-        // Failover accounting: a request an outage killed earlier is now
-        // re-placed; landing on a different (healthy) unit is a failover.
-        if (req.killed_on >= 0) {
-          if (req.killed_on != static_cast<std::int32_t>(sa)) {
-            ++resilience.failovers;
-          }
-          req.killed_on = -1;
-        }
-        // The fault decision is drawn here (it is a pure hash — placement
-        // cannot change it), and the completion handle is kept so an
-        // outage can kill this execution mid-flight.
-        const bool fault =
-            fault_plan.transient_fault(req.task, req.frame, req.attempt);
-        const InferenceRequest creq = req;
-        sim::EventId ev;
-        if (fault) {
-          ev = sim.schedule_after(latency, [self, creq, sa, level, start] {
-            self->on_fault(creq, sa, level, start);
-          });
-        } else {
-          ev = sim.schedule_after(latency, [self, creq, sa, level, start] {
-            self->on_complete(creq, sa, level, start);
-          });
-        }
-        inflight_event[sa] = ev;
-        inflight_req[sa] = creq;
-        inflight_level[sa] = level;
-        inflight_start[sa] = start;
-        inflight_extra_ms[sa] = extra;
+      if (faulted &&
+          fault_plan.transient_fault(req.task, req.frame, req.attempt)) {
+        inflight_event[sa] =
+            sim.schedule_after(latency, [self, sa] { self->on_fault(sa); });
       } else {
-        sim.schedule_after(latency, [self, req, sa, level, start] {
-          self->on_complete(req, sa, level, start);
-        });
+        inflight_event[sa] =
+            sim.schedule_after(latency, [self, sa] { self->on_complete(sa); });
       }
     }
   }
@@ -674,6 +684,10 @@ std::size_t RunScratch::pooled_stores() const {
   return impl_->store_pool.size();
 }
 
+std::size_t RunScratch::event_pool_slots() const {
+  return impl_->sim.pool_slots();
+}
+
 std::size_t RunScratch::pooled_record_capacity() const {
   std::size_t total = 0;
   for (const auto& store : impl_->store_pool) total += store.capacity();
@@ -686,15 +700,18 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
                                       FrequencyGovernor* governor,
                                       RunScratch* scratch,
                                       AdmissionController* admission) const {
-  if (config.duration_ms <= 0.0) {
-    throw std::invalid_argument("ScenarioRunner::run: duration must be > 0");
+  if (!std::isfinite(config.duration_ms) || config.duration_ms <= 0.0) {
+    throw std::invalid_argument(
+        "ScenarioRunner::run: duration must be finite and > 0");
   }
+  double run_frames = 0.0;
   for (const auto& sm : scenario.models) {
     const auto& src =
         workload::input_source(workload::driving_source(sm.task));
-    if (sm.target_fps <= 0.0) {
-      throw std::invalid_argument("ScenarioRunner::run: target FPS <= 0 for " +
-                                  std::string(models::task_code(sm.task)));
+    if (!(sm.target_fps > 0.0)) {  // negated so NaN fails too
+      throw std::invalid_argument(
+          "ScenarioRunner::run: target FPS must be > 0 for " +
+          std::string(models::task_code(sm.task)));
     }
     if (sm.target_fps > src.fps + 1e-9) {
       throw std::invalid_argument(
@@ -702,6 +719,15 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
                       "for ") +
           models::task_code(sm.task));
     }
+    run_frames += sm.target_fps * config.duration_ms / 1000.0;
+  }
+  // Summed in double, so a product past the integer range reads as a huge
+  // (or infinite) budget here instead of overflowing a frame count below.
+  if (!(run_frames <= static_cast<double>(RunConfig::kMaxFramesPerRun))) {
+    throw std::invalid_argument(
+        "ScenarioRunner::run: frame budget exceeds the per-run cap of " +
+        std::to_string(RunConfig::kMaxFramesPerRun) +
+        " frames (shorten duration_ms)");
   }
   // Shared with scenario_io::from_config_text: the parser rejects rate
   // mismatches at load time, this preflight catches programmatically-built
@@ -751,11 +777,7 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   }
   eng.timeline.reserve(static_cast<std::size_t>(total_expected) + 8);
   eng.pending.reserve(static_cast<std::size_t>(total_expected) + 8);
-  // Every generator frame is scheduled before the run starts, so the event
-  // pool's high-water mark is ~total_expected (arrivals) plus in-flight
-  // completions (bounded by the sub-accelerator count).
-  eng.sim.reserve(static_cast<std::size_t>(total_expected) +
-                  system_->sub_accels.size() + 8);
+  eng.arrivals.reserve(static_cast<std::size_t>(total_expected));
 
   // ---- Load generation (Figure 2's load generator) ---------------------
 
@@ -774,7 +796,6 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     const auto num_frames = static_cast<std::int64_t>(
         std::llround(sm.target_fps * config.duration_ms / 1000.0));
     ms.frames_expected = num_frames;
-    RunScratch::Impl* self = &eng;
     for (std::int64_t f = 0; f < num_frames; ++f) {
       // Multi-modal models wait for the latest of their input streams.
       double treq = 0.0;
@@ -789,12 +810,20 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
       req.frame = f;
       req.treq_ms = treq;
       req.tdl_ms = deadline_ms(driver, sm.target_fps, f);
-      eng.sim.schedule_at(treq, [self, req] {
-        self->arrive(req);
-        self->try_dispatch();
-      });
+      eng.arrivals.push_back({req, eng.arrivals.size()});
     }
   }
+  // treq is never negative (the generator folds in 0.0), so it needs no
+  // clamp to the run start. std::sort, not stable_sort: the index already
+  // makes the key unique, and stable_sort allocates a buffer.
+  std::sort(eng.arrivals.begin(), eng.arrivals.end(),
+            [](const RunScratch::Impl::Arrival& a,
+               const RunScratch::Impl::Arrival& b) {
+              if (a.req.treq_ms != b.req.treq_ms) {
+                return a.req.treq_ms < b.req.treq_ms;
+              }
+              return a.index < b.index;
+            });
 
   // ---- Fault schedule (precomputed; worker count cannot reorder it) -----
   if (eng.injector.active()) {
@@ -812,11 +841,11 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
         }
       }
     }
-    // Outage windows become simulator events. They are scheduled after the
-    // arrival events above, so at an exactly shared timestamp the arrival
-    // is processed first (FIFO tie-break) — a fixed, documented order that
-    // no worker count can perturb. Throttle windows need no events: the
-    // dispatcher samples them via FaultInjector::throttle_cap.
+    // Outage windows become simulator events. At an exactly shared
+    // timestamp the arrival is processed first (the run loop merges each
+    // arrival ahead of queued events at its time) — a fixed, documented
+    // order that no worker count can perturb. Throttle windows need no
+    // events: the dispatcher samples them via FaultInjector::throttle_cap.
     RunScratch::Impl* self = &eng;
     for (std::size_t sa = 0; sa < system_->sub_accels.size(); ++sa) {
       for (const auto& w : eng.fault_plan.outages(sa)) {
@@ -828,6 +857,14 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     }
   }
 
+  // Merge the arrival stream ahead of the event queue: every queued event
+  // strictly before an arrival fires first, then the arrival; queued events
+  // at the arrival's own time wait for it.
+  for (const auto& a : eng.arrivals) {
+    eng.sim.run_before(a.req.treq_ms);
+    eng.arrive(a.req);
+    eng.try_dispatch();
+  }
   eng.sim.run();
   // Anything still pending after the event queue drained can never start.
   eng.drop_stale(std::numeric_limits<double>::infinity());

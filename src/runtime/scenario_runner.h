@@ -21,6 +21,15 @@ namespace xrbench::runtime {
 /// Per-run knobs (paper §3.5: default run duration is one second; jitter is
 /// always modeled but can be disabled for ablations).
 struct RunConfig {
+  /// Most generator frames one run may request (summed over its models at
+  /// their target rates). A run reserves its arrival, record and timeline
+  /// storage up front, so the cap bounds that memory; 2^22 frames is over six
+  /// hours of the densest Table-2 scenario (Social Interaction A, 180 FPS
+  /// summed). run() rejects a duration whose frame budget exceeds it with
+  /// std::invalid_argument.
+  static constexpr std::int64_t kMaxFramesPerRun = std::int64_t{1} << 22;
+
+  /// Run window; must be finite and > 0.
   double duration_ms = 1000.0;
   std::uint64_t seed = 42;     ///< Jitter + control-flow trial seed.
   bool enable_jitter = true;
@@ -121,6 +130,8 @@ class RunScratch {
   /// Pool diagnostics (capacity-retention tests).
   std::size_t pooled_stores() const;
   std::size_t pooled_record_capacity() const;  ///< Sum over pooled stores.
+  /// High-water count of simultaneously queued simulator events.
+  std::size_t event_pool_slots() const;
 
  private:
   friend class ScenarioRunner;

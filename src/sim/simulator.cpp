@@ -94,21 +94,18 @@ std::size_t Simulator::run_until(TimeMs until) {
   return fired;
 }
 
-bool Simulator::step() { return fire_next(); }
-
-void Simulator::reserve(std::size_t events) {
-  pool_.reserve(events);
-  // priority_queue has no reserve; rebuild its container with capacity.
-  std::vector<QueueEntry> storage;
-  storage.reserve(events);
-  while (!queue_.empty()) {
-    storage.push_back(queue_.top());
-    queue_.pop();
+std::size_t Simulator::run_before(TimeMs t) {
+  std::size_t fired = 0;
+  while (true) {
+    skip_stale_top();
+    if (queue_.empty() || queue_.top().when >= t) break;
+    if (fire_next()) ++fired;
   }
-  queue_ = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                               std::greater<>>(std::greater<>{},
-                                               std::move(storage));
+  now_ = std::max(now_, t);
+  return fired;
 }
+
+bool Simulator::step() { return fire_next(); }
 
 void Simulator::reset() {
   if (live_events_ != 0) {

@@ -96,8 +96,11 @@ class EventCallback {
 ///
 /// Events at equal timestamps fire in scheduling order (FIFO tie-break), so a
 /// run is fully reproducible. The simulator is the time substrate for the
-/// XRBench runtime: sensor frame arrivals, inference completions, and
-/// deadline checks are all events.
+/// XRBench runtime, which keeps only its dynamic events here: inference
+/// completions, transient-fault retries and outage windows. Sensor frame
+/// arrivals are known before a run starts, so the runtime feeds them as a
+/// presorted stream and merges them in with run_before() instead of queueing
+/// them.
 ///
 /// Events live in a pooled free-list arena: the priority queue holds small
 /// POD entries and each callback is stored inline in a recycled pool slot,
@@ -132,16 +135,19 @@ class Simulator {
   /// advanced past the last fired event. Returns events fired.
   std::size_t run_until(TimeMs until);
 
+  /// Runs events with timestamp strictly before `t`, then sets now() to `t`
+  /// if it advanced past the last fired event. Events at exactly `t` stay
+  /// queued, so an external event merged in at `t` (the runtime's arrival
+  /// stream) precedes every queued event sharing its timestamp. Events the
+  /// fired callbacks schedule before `t` fire too. Returns events fired.
+  std::size_t run_before(TimeMs t);
+
   /// Fires exactly one event if available. Returns false when queue is empty.
   bool step();
 
   bool empty() const { return live_events_ == 0; }
   std::size_t pending_events() const { return live_events_; }
   std::size_t fired_events() const { return fired_; }
-
-  /// Pre-sizes the event pool and queue storage (optional; the pool also
-  /// grows on demand and is reused across the run).
-  void reserve(std::size_t events);
 
   /// Rewinds the clock to 0 for a new run, keeping the pool's high-water
   /// capacity — the arena-reuse hook for sweep workers that run thousands

@@ -157,6 +157,46 @@ TEST_F(RunScratchTest, ProgramTrialLoopPoolPlateausAtHighWaterMark) {
   EXPECT_EQ(scratch.pooled_record_capacity(), capacity_after_warmup);
 }
 
+TEST_F(RunScratchTest, EventPoolHoldsOnlyInFlightWork) {
+  // Generator arrivals stream past the simulator queue, so its pool only
+  // ever holds one completion per busy unit, the outage boundaries (start
+  // and end, both queued up front) and pending retries — never a frame per
+  // arrival.
+  const std::size_t units = system_.sub_accels.size();
+  auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
+  for (const auto& scenario : workload::benchmark_suite()) {
+    RunScratch scratch;
+    scheduler->reset();
+    const auto run =
+        runner_.run(scenario, *scheduler, RunConfig{}, nullptr, &scratch);
+    EXPECT_GT(run.timeline.size(), units) << scenario.name;
+    EXPECT_LE(scratch.event_pool_slots(), units) << scenario.name;
+  }
+
+  RunConfig cfg;
+  cfg.faults.transient_rate = 0.05;
+  cfg.faults.outage_rate_per_s = 2.0;
+  cfg.faults.outage_ms = 20.0;
+  cfg.faults.max_retries = 2;
+  cfg.faults.retry_backoff_ms = 2.0;
+  const FaultPlan plan(cfg.faults, cfg.seed, units, cfg.duration_ms,
+                       system_.fault_domains);
+  std::size_t outage_events = 0;
+  for (std::size_t sa = 0; sa < units; ++sa) {
+    for (const auto& w : plan.outages(sa)) {
+      if (w.start_ms < cfg.duration_ms) outage_events += 2;
+    }
+  }
+  ASSERT_GT(outage_events, 0u);
+  RunScratch scratch;
+  scheduler->reset();
+  const auto run = runner_.run(workload::scenario_by_name("AR Gaming"),
+                               *scheduler, cfg, nullptr, &scratch);
+  EXPECT_LE(scratch.event_pool_slots(),
+            units + outage_events +
+                static_cast<std::size_t>(run.resilience.retries));
+}
+
 TEST(SweepScratch, RepeatedSweepsOnOneEngineAreIdentical) {
   // The engine's per-worker arenas persist across calls; a second sweep on
   // dirty arenas must reproduce the first bit-for-bit, at any worker count.

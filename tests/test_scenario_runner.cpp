@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "costmodel/cost_model.h"
 #include "workload/input_source.h"
 
@@ -260,6 +262,43 @@ TEST_F(RunnerTest, InvalidConfigsThrow) {
   workload::UsageScenario bad = scenario_by_name("VR Gaming");
   bad.models[0].target_fps = 120.0;  // exceeds the 60 FPS camera
   EXPECT_THROW(runner.run(bad, sched, RunConfig{}), std::invalid_argument);
+}
+
+TEST_F(RunnerTest, NonFiniteAndOversizedDurationsThrow) {
+  const auto sys = hw::make_accelerator('A', 4096);
+  const CostTable table(sys, cost_model_);
+  const ScenarioRunner runner(sys, table);
+  LatencyGreedyScheduler sched;
+  // NaN and +inf slip past a plain `<= 0` test; 1e12 ms is finite but its
+  // frame budget is far past the per-run cap.
+  for (const double d : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 1e12}) {
+    RunConfig cfg;
+    cfg.duration_ms = d;
+    EXPECT_THROW(runner.run(scenario_by_name("VR Gaming"), sched, cfg),
+                 std::invalid_argument)
+        << d;
+  }
+  workload::UsageScenario bad = scenario_by_name("VR Gaming");
+  bad.models[0].target_fps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(runner.run(bad, sched, RunConfig{}), std::invalid_argument);
+}
+
+TEST_F(RunnerTest, FrameBudgetPastTheCapThrows) {
+  // Half a minute of a 3 FPS keyword-spotting stream is well inside the cap.
+  workload::UsageScenario kd;
+  kd.name = "kd-only";
+  workload::ScenarioModel m;
+  m.task = TaskId::kKD;
+  m.target_fps = 3.0;
+  kd.models.push_back(m);
+  RunConfig cfg;
+  cfg.duration_ms = 30000.0;
+  EXPECT_EQ(run('A', 4096, kd, cfg).find(TaskId::kKD)->frames_expected, 90);
+  // One frame past the cap at the same rate is rejected.
+  cfg.duration_ms =
+      (static_cast<double>(RunConfig::kMaxFramesPerRun) + 1.0) * 1000.0 / 3.0;
+  EXPECT_THROW(run('A', 4096, kd, cfg), std::invalid_argument);
 }
 
 TEST_F(RunnerTest, DependencyOnAbsentUpstreamNeverTriggers) {

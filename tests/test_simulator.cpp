@@ -118,6 +118,55 @@ TEST(Simulator, RunUntilIncludesBoundaryEvents) {
   EXPECT_EQ(count, 1);
 }
 
+TEST(Simulator, RunBeforeLeavesEqualTimeEventsQueued) {
+  Simulator s;
+  std::vector<double> fired;
+  for (double t : {1.0, 2.0, 2.0, 3.0}) {
+    s.schedule_at(t, [&fired, &s] { fired.push_back(s.now()); });
+  }
+  EXPECT_EQ(s.run_before(2.0), 1u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0}));
+  EXPECT_EQ(s.pending_events(), 3u);
+  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 2.0, 3.0}));
+}
+
+TEST(Simulator, RunBeforeAdvancesNowToBoundary) {
+  Simulator s;
+  s.schedule_at(1.0, [] {});
+  s.run_before(4.5);
+  EXPECT_DOUBLE_EQ(s.now(), 4.5);
+  // An empty queue still moves the clock; an earlier boundary never rewinds.
+  s.run_before(7.0);
+  EXPECT_DOUBLE_EQ(s.now(), 7.0);
+  EXPECT_EQ(s.run_before(6.0), 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 7.0);
+}
+
+TEST(Simulator, RunBeforeSkipsCancelledEvents) {
+  Simulator s;
+  std::vector<int> order;
+  const EventId first = s.schedule_at(1.0, [&] { order.push_back(1); });
+  s.schedule_at(2.0, [&] { order.push_back(2); });
+  ASSERT_TRUE(s.cancel(first));
+  EXPECT_EQ(s.run_before(3.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(Simulator, RunBeforeFiresEventsScheduledInsideTheWindow) {
+  Simulator s;
+  std::vector<double> fired;
+  s.schedule_at(1.0, [&] {
+    fired.push_back(s.now());
+    s.schedule_after(0.5, [&] { fired.push_back(s.now()); });  // 1.5 < 2
+    s.schedule_after(1.0, [&] { fired.push_back(s.now()); });  // 2.0: waits
+  });
+  EXPECT_EQ(s.run_before(2.0), 2u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5}));
+  EXPECT_EQ(s.pending_events(), 1u);
+}
+
 TEST(Simulator, StepFiresOneEvent) {
   Simulator s;
   int count = 0;
