@@ -17,24 +17,16 @@ std::int64_t bounded(std::int64_t dim, std::int64_t budget) {
 
 /// Finalizer-grade 64-bit mixer (splitmix64). The memo key fields are tiny
 /// integers (PE counts, layer dims) whose raw bits cluster in the low byte;
-/// the combine below accumulates them cheaply (one xor-multiply per field —
-/// this sits on the memo hit path, so no per-field avalanche chains) and a
-/// single splitmix64 finalizer spreads the accumulated entropy across all
-/// 64 bits. Without the finalizer a PE-count sweep lands whole key families
-/// in a handful of shards/buckets.
+/// LayerSignature::fold accumulates them cheaply (one xor-multiply per
+/// field, no per-field avalanche chains) and a single splitmix64 finalizer
+/// spreads the accumulated entropy across all 64 bits. Without the
+/// finalizer a PE-count sweep lands whole key families in a handful of
+/// shards/buckets.
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::size_t hash_combine(std::size_t seed, std::size_t v) {
-  // Polynomial accumulation with an odd multiplier (FNV-style): the
-  // multiply shifts every prior field's bits upward so small integers in
-  // successive fields never cancel; avalanching is deferred to the single
-  // splitmix64 finalizer in make_model_key.
-  return (seed ^ v) * 0x9e3779b97f4a7c15ULL;
 }
 
 std::size_t hash_double(double d) {
@@ -620,61 +612,99 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
   return scratch.result;
 }
 
-bool AnalyticalCostModel::ModelCostKey::operator==(
-    const ModelCostKey& o) const {
-  if (hash != o.hash || dataflow != o.dataflow || num_pes != o.num_pes ||
-      sram_bytes != o.sram_bytes || clock_ghz != o.clock_ghz ||
-      noc_bytes_per_cycle != o.noc_bytes_per_cycle ||
-      offchip_bytes_per_cycle != o.offchip_bytes_per_cycle ||
-      levels.size() != o.levels.size() || layer_sig != o.layer_sig) {
+ModelCostLevels::ModelCostLevels(std::vector<ModelCost> levels)
+    : levels_(std::move(levels)),
+      num_layers_(levels_.empty() ? 0 : levels_.front().layers.size()) {
+  const std::size_t entries = levels_.size() * (num_layers_ + 1);
+  latency_sums_.resize(entries);
+  energy_sums_.resize(entries);
+  static_sums_.resize(entries);
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    // Same left-to-right order as the kernel's totals, so the last entry is
+    // the whole-model cost bit-exactly (a resume at layer 0 is
+    // indistinguishable from a fresh dispatch).
+    const auto& layers = levels_[l].layers;
+    const std::size_t base = index(l, 0);
+    double lat = 0.0, energy = 0.0, stat = 0.0;
+    for (std::size_t k = 0; k < num_layers_; ++k) {
+      lat += layers[k].latency_ms;
+      energy += layers[k].energy_mj;
+      stat += layers[k].static_energy_mj;
+      latency_sums_[base + k + 1] = lat;
+      energy_sums_[base + k + 1] = energy;
+      static_sums_[base + k + 1] = stat;
+    }
+  }
+}
+
+std::size_t ModelCostLevels::completed_layers(std::size_t level,
+                                              std::size_t from_layer,
+                                              double elapsed_ms) const {
+  const std::size_t base = index(level, 0);
+  const double start = latency_sums_[base + from_layer];
+  std::size_t k = from_layer;
+  while (k < num_layers_ &&
+         latency_sums_[base + k + 1] - start <= elapsed_ms) {
+    ++k;
+  }
+  return k;
+}
+
+AnalyticalCostModel::ModelCostKey::ModelCostKey(const ModelGraph& graph,
+                                                const SubAccelConfig& accel)
+    : layers(graph.shared_signature()),
+      dataflow(static_cast<int>(accel.dataflow)),
+      num_pes(accel.num_pes),
+      sram_bytes(accel.sram_bytes),
+      clock_ghz(accel.clock_ghz),
+      noc_bytes_per_cycle(accel.noc_bytes_per_cycle),
+      offchip_bytes_per_cycle(accel.offchip_bytes_per_cycle),
+      levels(accel.dvfs.levels) {}
+
+bool AnalyticalCostModel::ModelCostKey::matches(
+    const LayerSignature& sig, const SubAccelConfig& accel) const {
+  if (dataflow != static_cast<int>(accel.dataflow) ||
+      num_pes != accel.num_pes || sram_bytes != accel.sram_bytes ||
+      clock_ghz != accel.clock_ghz ||
+      noc_bytes_per_cycle != accel.noc_bytes_per_cycle ||
+      offchip_bytes_per_cycle != accel.offchip_bytes_per_cycle ||
+      levels.size() != accel.dvfs.levels.size()) {
     return false;
   }
   for (std::size_t i = 0; i < levels.size(); ++i) {
-    if (levels[i].freq_ghz != o.levels[i].freq_ghz ||
-        levels[i].voltage_v != o.levels[i].voltage_v) {
+    if (levels[i].freq_ghz != accel.dvfs.levels[i].freq_ghz ||
+        levels[i].voltage_v != accel.dvfs.levels[i].voltage_v) {
       return false;
     }
   }
-  return true;
+  return layers.get() == &sig || *layers == sig;
 }
 
-AnalyticalCostModel::ModelCostKey AnalyticalCostModel::make_model_key(
-    const ModelGraph& graph, const SubAccelConfig& accel) {
-  ModelCostKey key;
-  key.layer_sig.reserve(graph.num_layers() * 8);
-  for (const auto& layer : graph.layers()) {
-    key.layer_sig.push_back(static_cast<std::int64_t>(layer.type));
-    key.layer_sig.push_back(layer.k);
-    key.layer_sig.push_back(layer.c);
-    key.layer_sig.push_back(layer.y);
-    key.layer_sig.push_back(layer.x);
-    key.layer_sig.push_back(layer.r);
-    key.layer_sig.push_back(layer.s);
-    key.layer_sig.push_back(layer.elems);
+std::size_t AnalyticalCostModel::model_key_hash(const LayerSignature& sig,
+                                                const SubAccelConfig& accel) {
+  auto fold = LayerSignature::fold;
+  std::size_t h = fold(sig.hash, static_cast<std::size_t>(accel.dataflow));
+  h = fold(h, static_cast<std::size_t>(accel.num_pes));
+  h = fold(h, static_cast<std::size_t>(accel.sram_bytes));
+  h = fold(h, hash_double(accel.clock_ghz));
+  h = fold(h, hash_double(accel.noc_bytes_per_cycle));
+  h = fold(h, hash_double(accel.offchip_bytes_per_cycle));
+  for (const auto& op : accel.dvfs.levels) {
+    h = fold(h, hash_double(op.freq_ghz));
+    h = fold(h, hash_double(op.voltage_v));
   }
-  key.dataflow = static_cast<int>(accel.dataflow);
-  key.num_pes = accel.num_pes;
-  key.sram_bytes = accel.sram_bytes;
-  key.clock_ghz = accel.clock_ghz;
-  key.noc_bytes_per_cycle = accel.noc_bytes_per_cycle;
-  key.offchip_bytes_per_cycle = accel.offchip_bytes_per_cycle;
-  key.levels = accel.dvfs.levels;
+  return static_cast<std::size_t>(splitmix64(h));
+}
 
-  std::size_t h = static_cast<std::size_t>(key.dataflow);
-  for (std::int64_t v : key.layer_sig) {
-    h = hash_combine(h, static_cast<std::size_t>(v));
+const std::shared_ptr<const ModelCostLevels>*
+AnalyticalCostModel::ModelMemoShard::find(std::size_t hash,
+                                          const LayerSignature& sig,
+                                          const SubAccelConfig& accel) const {
+  const auto [first, last] = map.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.key.matches(sig, accel)) return &it->second.value;
   }
-  h = hash_combine(h, static_cast<std::size_t>(key.num_pes));
-  h = hash_combine(h, static_cast<std::size_t>(key.sram_bytes));
-  h = hash_combine(h, hash_double(key.clock_ghz));
-  h = hash_combine(h, hash_double(key.noc_bytes_per_cycle));
-  h = hash_combine(h, hash_double(key.offchip_bytes_per_cycle));
-  for (const auto& op : key.levels) {
-    h = hash_combine(h, hash_double(op.freq_ghz));
-    h = hash_combine(h, hash_double(op.voltage_v));
-  }
-  key.hash = static_cast<std::size_t>(splitmix64(h));
-  return key;
+  return nullptr;
 }
 
 std::size_t AnalyticalCostModel::model_shard_index(std::size_t hash) {
@@ -688,43 +718,41 @@ std::size_t AnalyticalCostModel::model_shard_index(std::size_t hash) {
   return static_cast<std::size_t>(folded >> (64 - kShardBits));
 }
 
-std::shared_ptr<const std::vector<ModelCost>>
+std::shared_ptr<const ModelCostLevels>
 AnalyticalCostModel::cached_model_cost_all_levels(
     const ModelGraph& graph, const SubAccelConfig& accel,
     AllLevelsScratch* scratch) const {
-  ModelCostKey key = make_model_key(graph, accel);
-  ModelMemoShard& shard = model_memo_shards_[model_shard_index(key.hash)];
+  const LayerSignature& sig = graph.signature();
+  const std::size_t hash = model_key_hash(sig, accel);
+  ModelMemoShard& shard = model_memo_shards_[model_shard_index(hash)];
   {
     std::shared_lock lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    if (const auto* value = shard.find(hash, sig, accel)) {
       // Statistical counter: plain load+store instead of an atomic RMW.
       // Concurrent hits on one shard can drop an increment (telemetry may
       // undercount slightly); in exchange the hit path pays no
       // lock-prefixed instruction.
       shard.hits.store(shard.hits.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
-      return it->second;
+      return *value;
     }
   }
   // Compute outside the lock; a racing duplicate evaluation is rare (the
   // key space is per model, not per layer) and both threads produce the
-  // same value. The cached copy must own its storage, so the scratch path
-  // copies scratch.result into the shared vector — still one allocation
-  // fewer than the scratchless path, and only on a miss.
-  auto value = scratch != nullptr
-                   ? std::make_shared<const std::vector<ModelCost>>(
-                         model_cost_all_levels(graph, accel, *scratch))
-                   : std::make_shared<const std::vector<ModelCost>>(
-                         model_cost_all_levels(graph, accel));
+  // same value. The entry must own its storage, so the scratch path copies
+  // scratch.result into it — only on a miss.
+  auto value = std::make_shared<const ModelCostLevels>(
+      scratch != nullptr ? model_cost_all_levels(graph, accel, *scratch)
+                         : model_cost_all_levels(graph, accel));
   {
     std::unique_lock lock(shard.mutex);
     ++shard.misses;
-    const auto [it, inserted] = shard.map.emplace(std::move(key), value);
-    if (inserted) {
-      ++shard.inserts;
+    if (const auto* winner = shard.find(hash, sig, accel)) {
+      value = *winner;  // the racing winner's entry stays canonical
     } else {
-      value = it->second;  // the racing winner's copy stays canonical
+      shard.map.emplace(hash,
+                        ModelMemoEntry{ModelCostKey(graph, accel), value});
+      ++shard.inserts;
     }
   }
   return value;

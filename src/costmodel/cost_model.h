@@ -100,6 +100,53 @@ struct ModelCost {
   std::vector<LayerCost> layers;
 };
 
+/// The model memo's value: the costs of one graph on one sub-accelerator
+/// at every DVFS level, plus each level's layer prefix sums (a checkpoint
+/// resume at layer k pays total - prefix[k]). Built once, on memo insert;
+/// afterwards every CostTable that needs it shares it, immutable.
+class ModelCostLevels {
+ public:
+  /// Takes the all-levels kernel result and derives the prefix sums. They
+  /// are summed left to right in graph order, like the kernel's
+  /// whole-model totals, so prefix[num_layers] is bit-identical to the
+  /// level's latency_ms / energy_mj / static_energy_mj.
+  explicit ModelCostLevels(std::vector<ModelCost> levels);
+
+  /// levels()[l] == model_cost_at(graph, accel, l).
+  const std::vector<ModelCost>& levels() const { return levels_; }
+  std::size_t num_layers() const { return num_layers_; }
+
+  // Prefix sums over the first `layer` layers at `level`. Unchecked:
+  // level < levels().size() and layer <= num_layers() (CostTable checks).
+  double latency_prefix_ms(std::size_t level, std::size_t layer) const {
+    return latency_sums_[index(level, layer)];
+  }
+  double energy_prefix_mj(std::size_t level, std::size_t layer) const {
+    return energy_sums_[index(level, layer)];
+  }
+  double static_prefix_mj(std::size_t level, std::size_t layer) const {
+    return static_sums_[index(level, layer)];
+  }
+
+  /// Largest k in [from_layer, num_layers] with
+  /// prefix[k] - prefix[from_layer] <= elapsed_ms, by a forward walk over
+  /// the latency prefixes. Unchecked like the accessors above.
+  std::size_t completed_layers(std::size_t level, std::size_t from_layer,
+                               double elapsed_ms) const;
+
+ private:
+  /// Each level owns a contiguous run of num_layers + 1 entries.
+  std::size_t index(std::size_t level, std::size_t layer) const {
+    return level * (num_layers_ + 1) + layer;
+  }
+
+  std::vector<ModelCost> levels_;
+  std::size_t num_layers_ = 0;
+  std::vector<double> latency_sums_;
+  std::vector<double> energy_sums_;
+  std::vector<double> static_sums_;
+};
+
 /// Reusable scratch for model_cost_all_levels: every per-call allocation of
 /// the level-batched kernel (the SoA level-parameter lanes, the per-layer
 /// per-level lanes the SIMD kernel writes, the accumulator lanes, and the
@@ -221,16 +268,17 @@ class AnalyticalCostModel {
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch& scratch) const;
 
-  /// Memoized model_cost_all_levels: a sharded (graph signature x sub-accel
-  /// config x all-levels) cache, so repeated (model, sub-accelerator) pairs
-  /// across sweep points skip the layer walk entirely (CostTable builds call
-  /// this). The returned vector is shared —
-  /// concurrent builds of identical designs read one cached copy. Keys
-  /// compare the full layer-dimension list, never just a hash, so a
-  /// collision can not silently alias two models.
+  /// Memoized model_cost_all_levels: a sharded (graph signature x
+  /// sub-accel config) cache of ModelCostLevels, so repeated (model,
+  /// sub-accelerator) pairs across sweep points skip the layer walk and the
+  /// prefix sums entirely (CostTable builds call this). The value is
+  /// shared: every table built for an identical design holds the same
+  /// entry. A lookup reads the graph's precomputed signature and allocates
+  /// nothing; keys compare the full layer signature, never just a hash, so
+  /// a collision can not alias two models.
   /// `scratch`, when given, is reused for the layer walk on a memo miss
   /// (hits never touch it) — the CostTable build loop passes its own.
-  std::shared_ptr<const std::vector<ModelCost>> cached_model_cost_all_levels(
+  std::shared_ptr<const ModelCostLevels> cached_model_cost_all_levels(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch* scratch = nullptr) const;
 
@@ -319,44 +367,60 @@ class AnalyticalCostModel {
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
 
-  /// Model-level memo key: the graph's full layer-dimension signature plus
-  /// every sub-accel field model_cost_all_levels reads — including the DVFS
-  /// ladder, since the value covers all levels. Names are excluded on both
-  /// sides (two graphs with identical layer lists cost the same), and so
-  /// are transition_ms / idle_mw / nominal_level, which never enter a
-  /// ModelCost. The mixed hash over all fields is precomputed once by
-  /// make_model_key (it feeds three consumers per lookup — shard choice,
-  /// find, emplace); ModelCostKeyHash just reads it back.
+  /// Model-level memo key: the graph's layer signature plus every
+  /// sub-accel field model_cost_all_levels reads — including the DVFS
+  /// ladder, since the value covers all levels. The signature is the
+  /// graph's own shared snapshot (ModelGraph::shared_signature), not a
+  /// copy. Names are excluded (two graphs with identical layer lists cost
+  /// the same), and so are transition_ms / idle_mw / nominal_level, which
+  /// never enter a ModelCost.
   struct ModelCostKey {
-    std::vector<std::int64_t> layer_sig;  ///< 8 packed fields per layer.
+    ModelCostKey(const ModelGraph& graph, const SubAccelConfig& accel);
+    /// Full-content equality with the key `graph` x `accel` would make.
+    /// Holding the very same signature object short-cuts the layer
+    /// compare: snapshots are immutable, so identity implies equality.
+    bool matches(const LayerSignature& sig, const SubAccelConfig& accel) const;
+
+    std::shared_ptr<const LayerSignature> layers;
     int dataflow;
     std::int64_t num_pes, sram_bytes;
     double clock_ghz, noc_bytes_per_cycle, offchip_bytes_per_cycle;
     std::vector<hw::DvfsOperatingPoint> levels;
-    std::size_t hash = 0;  ///< Set by make_model_key; excluded from equality.
-    bool operator==(const ModelCostKey& o) const;
   };
-  struct ModelCostKeyHash {
-    std::size_t operator()(const ModelCostKey& key) const { return key.hash; }
+  /// The key hash: the signature's running fold continued over the
+  /// sub-accel fields, then one splitmix64 finalizer. It picks the shard
+  /// and the bucket; matches() decides.
+  static std::size_t model_key_hash(const LayerSignature& sig,
+                                    const SubAccelConfig& accel);
+
+  struct ModelMemoEntry {
+    ModelCostKey key;
+    std::shared_ptr<const ModelCostLevels> value;
   };
-  static ModelCostKey make_model_key(const ModelGraph& graph,
-                                     const SubAccelConfig& accel);
+  /// The hash is already mixed; buckets use it as is.
+  struct PrehashedKey {
+    std::size_t operator()(std::size_t hash) const { return hash; }
+  };
 
   /// One model-memo shard: its own map, lock and counters. Lookups take
   /// the shard's shared lock, inserts its unique lock (a rare duplicate
   /// computation on a race is harmless — both threads computed the same
-  /// value, one emplace wins).
+  /// value, one emplace wins). Entries are filed under their key hash;
+  /// equal hashes with different content sit side by side.
   struct ModelMemoShard {
-    std::unordered_map<ModelCostKey,
-                       std::shared_ptr<const std::vector<ModelCost>>,
-                       ModelCostKeyHash>
-        map;
+    std::unordered_multimap<std::size_t, ModelMemoEntry, PrehashedKey> map;
     mutable std::shared_mutex mutex;
     /// Written under the shared lock (concurrently) — atomic, lossy store.
     std::atomic<std::uint64_t> hits{0};
     /// Written only under the unique lock — plain fields, exact.
     std::uint64_t misses = 0;
     std::uint64_t inserts = 0;
+
+    /// The entry matching (sig, accel) filed under `hash`, or null. The
+    /// caller holds `mutex`.
+    const std::shared_ptr<const ModelCostLevels>* find(
+        std::size_t hash, const LayerSignature& sig,
+        const SubAccelConfig& accel) const;
   };
 
   /// Shard of `hash`: the top bits, Fibonacci-folded first so the shard
@@ -365,7 +429,7 @@ class AnalyticalCostModel {
   static std::size_t model_shard_index(std::size_t hash);
 
   EnergyParams energy_;
-  /// Thread-safe sharded all-levels ModelCost memo (see kModelMemoShards).
+  /// Thread-safe sharded ModelCostLevels memo (see kModelMemoShards).
   mutable std::array<ModelMemoShard, kModelMemoShards> model_memo_shards_;
 };
 

@@ -63,7 +63,8 @@ struct FleetConfig {
 
 /// Throws std::invalid_argument on a malformed config: non-positive
 /// arrival rate / window / pool size / max_sessions, negative zipf_s,
-/// non-positive class weight, or negative wait budget.
+/// non-positive class weight, negative wait budget, or a NaN/infinite
+/// value in any of the floating-point fields.
 void validate_fleet_config(const FleetConfig& config);
 
 }  // namespace xrbench::fleet

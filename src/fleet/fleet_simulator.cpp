@@ -198,8 +198,14 @@ FleetResult FleetSimulator::run(
                                   : config.classes[cls].wait_budget_ms;
   };
 
+  // At most max_sessions sessions ever start, and idle instances (free at
+  // 0, while every used one frees strictly later) pop in index order, so
+  // instances past max_sessions are never touched: seeding only the first
+  // min(pool_size, max_sessions) gives the same schedule at any pool size.
   InstanceHeap instances;
-  for (std::size_t i = 0; i < config.pool_size; ++i) {
+  const std::size_t live_instances =
+      std::min(config.pool_size, config.max_sessions);
+  for (std::size_t i = 0; i < live_instances; ++i) {
     instances.push({0.0, i});
   }
   std::vector<SessionSpec> backlog;  // sorted by BacklogKey

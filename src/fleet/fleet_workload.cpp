@@ -1,5 +1,6 @@
 #include "fleet/fleet_workload.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,30 +10,33 @@
 namespace xrbench::fleet {
 
 void validate_fleet_config(const FleetConfig& config) {
-  if (config.arrival_rate_per_s <= 0.0) {
+  if (!(std::isfinite(config.arrival_rate_per_s) &&
+        config.arrival_rate_per_s > 0.0)) {
     throw std::invalid_argument(
-        "fleet config: arrival_rate_per_s must be > 0");
+        "fleet config: arrival_rate_per_s must be finite and > 0");
   }
-  if (config.zipf_s < 0.0) {
-    throw std::invalid_argument("fleet config: zipf_s must be >= 0");
+  if (!(std::isfinite(config.zipf_s) && config.zipf_s >= 0.0)) {
+    throw std::invalid_argument("fleet config: zipf_s must be finite and >= 0");
   }
   if (config.pool_size == 0) {
     throw std::invalid_argument("fleet config: pool_size must be >= 1");
   }
-  if (config.arrival_window_ms <= 0.0) {
+  if (!(std::isfinite(config.arrival_window_ms) &&
+        config.arrival_window_ms > 0.0)) {
     throw std::invalid_argument(
-        "fleet config: arrival_window_ms must be > 0");
+        "fleet config: arrival_window_ms must be finite and > 0");
   }
   if (config.max_sessions == 0) {
     throw std::invalid_argument("fleet config: max_sessions must be >= 1");
   }
   for (const auto& cls : config.classes) {
-    if (cls.weight <= 0.0) {
-      throw std::invalid_argument("fleet config: class weight must be > 0");
-    }
-    if (cls.wait_budget_ms < 0.0) {
+    if (!(std::isfinite(cls.weight) && cls.weight > 0.0)) {
       throw std::invalid_argument(
-          "fleet config: class wait_budget_ms must be >= 0");
+          "fleet config: class weight must be finite and > 0");
+    }
+    if (!(std::isfinite(cls.wait_budget_ms) && cls.wait_budget_ms >= 0.0)) {
+      throw std::invalid_argument(
+          "fleet config: class wait_budget_ms must be finite and >= 0");
     }
   }
 }

@@ -34,56 +34,27 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
   }
 
   costs_.resize(models::kNumTasks * total_levels_);
-  task_layers_.resize(models::kNumTasks);
-  prefix_base_.resize(models::kNumTasks);
-  std::size_t prefix_entries = 0;
-  for (models::TaskId task : models::all_tasks()) {
-    const std::size_t t = models::task_index(task);
-    task_layers_[t] = models::model_graph(task).num_layers();
-    prefix_base_[t] = prefix_entries;
-    prefix_entries += (task_layers_[t] + 1) * total_levels_;
-  }
-  lat_prefix_.resize(prefix_entries);
-  energy_prefix_.resize(prefix_entries);
-  static_prefix_.resize(prefix_entries);
-  // One scratch for the whole build loop: after the first (task, sub-accel)
-  // evaluation at the largest shape, every later model-memo miss reuses its
-  // lanes and layer lists instead of re-allocating them per build.
+  entries_.reserve(models::kNumTasks * num_sub_accels_);
+  // One scratch for the whole build loop: every model-memo miss reuses its
+  // lanes and layer lists instead of re-allocating them (hits never touch
+  // it, so a warm build leaves it empty).
   costmodel::AllLevelsScratch scratch;
   for (models::TaskId task : models::all_tasks()) {
     const auto& graph = models::model_graph(task);
-    const std::size_t t = models::task_index(task);
-    const std::size_t row = t * total_levels_;
-    const std::size_t num_layers = task_layers_[t];
+    const std::size_t row = models::task_index(task) * total_levels_;
     for (std::size_t sa = 0; sa < num_sub_accels_; ++sa) {
       // One memoized all-levels evaluation per (task, sub-accelerator): the
       // batched kernel walks the layer list once for the whole DVFS ladder
       // (bit-identical to per-level model_cost_at, test-enforced), and the
       // model memo makes repeated designs across sweep points free.
-      const auto all = cost_model.cached_model_cost_all_levels(
-          graph, system.sub_accels[sa], &scratch);
+      entries_.push_back(cost_model.cached_model_cost_all_levels(
+          graph, system.sub_accels[sa], &scratch));
+      const auto& levels = entries_.back()->levels();
       for (std::size_t lvl = 0; lvl < num_levels_[sa]; ++lvl) {
-        const std::size_t cell = level_offset_[sa] + lvl;
-        const auto& mc = (*all)[lvl];
-        costs_[row + cell] =
+        const auto& mc = levels[lvl];
+        costs_[row + level_offset_[sa] + lvl] =
             ExecutionCost{mc.latency_ms, mc.energy_mj, mc.static_energy_mj,
                           mc.avg_utilization};
-        // Prefix sums in the same left-to-right order as model_cost_at's
-        // totals, so prefix[num_layers] == the whole-model cost bit-exactly
-        // (a resume at layer 0 is indistinguishable from a fresh dispatch).
-        const std::size_t base = prefix_base_[t] + cell * (num_layers + 1);
-        double lat = 0.0, energy = 0.0, stat = 0.0;
-        lat_prefix_[base] = 0.0;
-        energy_prefix_[base] = 0.0;
-        static_prefix_[base] = 0.0;
-        for (std::size_t k = 0; k < num_layers; ++k) {
-          lat += mc.layers[k].latency_ms;
-          energy += mc.layers[k].energy_mj;
-          stat += mc.layers[k].static_energy_mj;
-          lat_prefix_[base + k + 1] = lat;
-          energy_prefix_[base + k + 1] = energy;
-          static_prefix_[base + k + 1] = stat;
-        }
       }
     }
   }
@@ -122,19 +93,18 @@ const ExecutionCost& CostTable::cost(models::TaskId task,
                 level_offset_[sub_accel] + level];
 }
 
-std::size_t CostTable::prefix_index(models::TaskId task,
-                                    std::size_t sub_accel, std::size_t level,
-                                    std::size_t layer) const {
+const costmodel::ModelCostLevels& CostTable::checked_prefix_entry(
+    models::TaskId task, std::size_t sub_accel, std::size_t level,
+    std::size_t layer) const {
   check_sub_accel(sub_accel);
   if (level >= num_levels_[sub_accel]) {
     throw std::out_of_range("CostTable: DVFS level out of range");
   }
-  const std::size_t t = models::task_index(task);
-  if (layer > task_layers_[t]) {
+  const auto& e = entry(task, sub_accel);
+  if (layer > e.num_layers()) {
     throw std::out_of_range("CostTable: layer prefix out of range");
   }
-  return prefix_base_[t] +
-         (level_offset_[sub_accel] + level) * (task_layers_[t] + 1) + layer;
+  return e;
 }
 
 std::size_t CostTable::completed_layers(models::TaskId task,
@@ -142,18 +112,11 @@ std::size_t CostTable::completed_layers(models::TaskId task,
                                         std::size_t level,
                                         std::size_t from_layer,
                                         double elapsed_ms) const {
-  const std::size_t t = models::task_index(task);
-  const std::size_t num_layers = task_layers_[t];
-  const std::size_t base = prefix_index(task, sub_accel, level, 0);
-  if (from_layer > num_layers) {
+  const auto& e = checked_prefix_entry(task, sub_accel, level, 0);
+  if (from_layer > e.num_layers()) {
     throw std::out_of_range("CostTable::completed_layers: from_layer");
   }
-  const double start = lat_prefix_[base + from_layer];
-  std::size_t k = from_layer;
-  while (k < num_layers && lat_prefix_[base + k + 1] - start <= elapsed_ms) {
-    ++k;
-  }
-  return k;
+  return e.completed_layers(level, from_layer, elapsed_ms);
 }
 
 std::size_t CostTable::fastest_sub_accel(models::TaskId task) const {

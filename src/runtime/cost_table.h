@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -85,26 +86,33 @@ class CostTable {
   // Per (task, sub-accel, level) prefix sums over the model's layers, in
   // graph order and summed left-to-right exactly like model_cost_at — so
   // prefix[num_layers] is bit-identical to the whole-model cost above, and
-  // a resume at layer k pays exactly (total - prefix[k]).
+  // a resume at layer k pays exactly (total - prefix[k]). The table owns no
+  // prefix arrays: each (task, sub-accel) holds a shared_ptr to its model
+  // memo entry (costmodel::ModelCostLevels), which computed them once on
+  // insert. Tables built for identical designs share those entries, and an
+  // entry outlives a memo clear for as long as a table holds it.
 
   /// Number of layers in `task`'s model graph.
   std::size_t num_layers(models::TaskId task) const {
-    return task_layers_[models::task_index(task)];
+    return entry(task, 0).num_layers();
   }
   /// Sum of the first `layer` layers' latencies (0 <= layer <= num_layers).
   double layer_latency_prefix_ms(models::TaskId task, std::size_t sub_accel,
                                  std::size_t level, std::size_t layer) const {
-    return lat_prefix_[prefix_index(task, sub_accel, level, layer)];
+    return checked_prefix_entry(task, sub_accel, level, layer)
+        .latency_prefix_ms(level, layer);
   }
   /// Sum of the first `layer` layers' total energies.
   double layer_energy_prefix_mj(models::TaskId task, std::size_t sub_accel,
                                 std::size_t level, std::size_t layer) const {
-    return energy_prefix_[prefix_index(task, sub_accel, level, layer)];
+    return checked_prefix_entry(task, sub_accel, level, layer)
+        .energy_prefix_mj(level, layer);
   }
   /// Sum of the first `layer` layers' static (leakage) energies.
   double layer_static_prefix_mj(models::TaskId task, std::size_t sub_accel,
                                 std::size_t level, std::size_t layer) const {
-    return static_prefix_[prefix_index(task, sub_accel, level, layer)];
+    return checked_prefix_entry(task, sub_accel, level, layer)
+        .static_prefix_mj(level, layer);
   }
   /// Number of layers fully completed by an execution that started at layer
   /// `from_layer` and ran for `elapsed_ms` on (sub_accel, level): the
@@ -135,18 +143,18 @@ class CostTable {
   /// Idle power (W) per [level_offset(sub_accel) + level].
   std::vector<double> idle_power_w_;
 
-  /// Entry index into the layer-prefix arrays. Task blocks are laid out
-  /// back to back (tasks have different layer counts); within a block each
-  /// (sub-accel, level) cell owns a contiguous run of num_layers+1 entries.
-  std::size_t prefix_index(models::TaskId task, std::size_t sub_accel,
-                           std::size_t level, std::size_t layer) const;
+  const costmodel::ModelCostLevels& entry(models::TaskId task,
+                                         std::size_t sub_accel) const {
+    return *entries_[models::task_index(task) * num_sub_accels_ + sub_accel];
+  }
+  /// The (task, sub_accel) entry after checking sub_accel, level and
+  /// layer; throws std::out_of_range.
+  const costmodel::ModelCostLevels& checked_prefix_entry(
+      models::TaskId task, std::size_t sub_accel, std::size_t level,
+      std::size_t layer) const;
 
-  std::vector<std::size_t> task_layers_;  ///< Layers per task.
-  /// Per-task base offset into the prefix arrays.
-  std::vector<std::size_t> prefix_base_;
-  std::vector<double> lat_prefix_;
-  std::vector<double> energy_prefix_;
-  std::vector<double> static_prefix_;
+  /// Shared model-memo entries, row-major [task][sub_accel].
+  std::vector<std::shared_ptr<const costmodel::ModelCostLevels>> entries_;
 };
 
 }  // namespace xrbench::runtime

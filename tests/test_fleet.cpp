@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -138,6 +139,30 @@ TEST(FleetSimulator, ParallelIsByteIdenticalToSerialAt1248Workers) {
     const auto got = engine.run(config, catalog, system);
     expect_identical(got, baseline);
   }
+}
+
+TEST(FleetSimulator, HugePoolFinishesAndMatchesAPoolOfMaxSessions) {
+  // A pool larger than max_sessions can never run more than max_sessions
+  // sessions, so its schedule must equal that of a pool of exactly
+  // max_sessions instances, however large the configured pool.
+  const auto system = hw::make_accelerator('J', 4096);
+  const auto catalog = test_catalog();
+  auto config = small_config();
+  config.max_sessions = 4;
+  config.pool_size = config.max_sessions;
+  FleetSimulator sim(2);
+  const auto bounded = sim.run(config, catalog, system);
+  config.pool_size = 99999999999ull;
+  const auto huge = sim.run(config, catalog, system);
+  ASSERT_EQ(huge.sessions.size(), bounded.sessions.size());
+  ASSERT_FALSE(huge.sessions.empty());
+  for (std::size_t i = 0; i < huge.sessions.size(); ++i) {
+    EXPECT_EQ(huge.sessions[i].admitted, bounded.sessions[i].admitted) << i;
+    EXPECT_EQ(huge.sessions[i].start_ms, bounded.sessions[i].start_ms) << i;
+    EXPECT_EQ(huge.sessions[i].instance, bounded.sessions[i].instance) << i;
+  }
+  // The offered load still divides by the configured pool.
+  EXPECT_LT(huge.offered_load, bounded.offered_load);
 }
 
 TEST(FleetSimulator, SameSeedReplaysTheSameFleet) {
@@ -366,6 +391,46 @@ TEST(FleetIo, RejectsMalformedSectionsWithSourceLines) {
       "[phase]", 4);
   EXPECT_THROW(fleet_from_config_text("[class]\nweight = 1\n"),
                std::invalid_argument);  // missing [fleet] entirely
+}
+
+TEST(FleetIo, RejectsNonFiniteNumbersWithSourceLines) {
+  for (const std::string v : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(v);
+    expect_reject("[fleet]\nseed = 1\narrival_rate_per_s = " + v + "\n",
+                  "arrival_rate_per_s", 3);
+    expect_reject("[fleet]\narrival_window_ms = " + v + "\n",
+                  "arrival_window_ms", 2);
+    expect_reject("[fleet]\nzipf_s = " + v + "\n", "zipf_s", 2);
+    expect_reject("[fleet]\nseed = 1\n\n[class]\nweight = " + v + "\n",
+                  "weight", 5);
+    expect_reject(
+        "[fleet]\nseed = 1\n\n[class]\nweight = 1\nwait_budget_ms = " + v +
+            "\n",
+        "wait_budget_ms", 6);
+  }
+}
+
+TEST(FleetWorkload, ValidatorRejectsNonFiniteNumbers) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {nan, inf}) {
+    auto config = small_config();
+    config.arrival_rate_per_s = v;
+    EXPECT_THROW(validate_fleet_config(config), std::invalid_argument);
+    config = small_config();
+    config.arrival_window_ms = v;
+    EXPECT_THROW(validate_fleet_config(config), std::invalid_argument);
+    config = small_config();
+    config.zipf_s = v;
+    EXPECT_THROW(validate_fleet_config(config), std::invalid_argument);
+    config = small_config();
+    config.classes[0].weight = v;
+    EXPECT_THROW(validate_fleet_config(config), std::invalid_argument);
+    config = small_config();
+    config.classes[1].wait_budget_ms = v;
+    EXPECT_THROW(validate_fleet_config(config), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(validate_fleet_config(small_config()));
 }
 
 TEST(FleetReport, PrintsFleetAndPerClassRows) {

@@ -1,7 +1,8 @@
 // The raw-speed ladder's correctness contracts: the level-batched
 // all-levels kernel must be bit-identical to the per-level path, the
-// model-level memo must count hits/misses and spread keys evenly across its
-// shards, and a warm
+// model-level memo must count hits/misses, key on layer content (not graph
+// identity, and never on a stale snapshot) and spread keys evenly across
+// its shards, and a warm
 // (memoized) full-suite sweep must reproduce the cold run bit-exactly at
 // any worker count.
 
@@ -130,7 +131,7 @@ TEST(ModelMemo, CountsHitsMissesAndInserts) {
   EXPECT_EQ(s.shard_entries.size(),
             costmodel::AnalyticalCostModel::kModelMemoShards);
 
-  // Hits share the cached vector, they don't copy it.
+  // Hits share the cached entry, they don't copy it.
   const auto second = cm.cached_model_cost_all_levels(graph, a);
   const auto third = cm.cached_model_cost_all_levels(graph, a);
   EXPECT_EQ(second.get(), first.get());
@@ -162,9 +163,94 @@ TEST(ModelMemo, CachedValueMatchesUncachedKernel) {
   const auto& graph = models::model_graph(models::TaskId::kES);
   const auto cached = cm.cached_model_cost_all_levels(graph, sa);
   const auto direct = cm.model_cost_all_levels(graph, sa);
-  ASSERT_EQ(cached->size(), direct.size());
+  ASSERT_EQ(cached->levels().size(), direct.size());
   for (std::size_t lvl = 0; lvl < direct.size(); ++lvl) {
-    expect_model_cost_eq((*cached)[lvl], direct[lvl]);
+    expect_model_cost_eq(cached->levels()[lvl], direct[lvl]);
+  }
+}
+
+TEST(ModelMemo, EqualLayerListsShareOneEntryAcrossGraphs) {
+  // Names are not part of the key: two distinct graphs with equal layer
+  // lists hit one entry (the second graph's signature is compared in full,
+  // it is not the same object).
+  costmodel::AnalyticalCostModel cm;
+  const auto a = accel(costmodel::Dataflow::kWS, 4096);
+  const auto& zoo = models::model_graph(models::TaskId::kKD);
+  costmodel::ModelGraph first("first");
+  costmodel::ModelGraph second("second");
+  for (const auto& layer : zoo.layers()) {
+    first.add(layer);
+    second.add(layer);
+  }
+  ASSERT_NE(&first.signature(), &second.signature());
+
+  const auto x = cm.cached_model_cost_all_levels(first, a);
+  const auto y = cm.cached_model_cost_all_levels(second, a);
+  EXPECT_EQ(x.get(), y.get());
+  const auto s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ModelMemo, GraphGrownAfterLookupGetsAFreshEntry) {
+  // The memo key shares the graph's signature snapshot; add() must copy it
+  // rather than grow it under the key, so the grown graph misses and the
+  // value handed out earlier still describes the old layer list.
+  costmodel::AnalyticalCostModel cm;
+  const auto a = accel(costmodel::Dataflow::kOS, 2048);
+  const auto& zoo = models::model_graph(models::TaskId::kGE);
+  costmodel::ModelGraph graph("grown");
+  for (std::size_t i = 0; i + 1 < zoo.num_layers(); ++i) {
+    graph.add(zoo.layers()[i]);
+  }
+  const auto before = cm.cached_model_cost_all_levels(graph, a);
+  const double before_latency = before->levels()[0].latency_ms;
+  ASSERT_EQ(before->num_layers(), zoo.num_layers() - 1);
+
+  graph.add(zoo.layers().back());
+  const auto after = cm.cached_model_cost_all_levels(graph, a);
+  EXPECT_NE(after.get(), before.get());
+  EXPECT_EQ(after->num_layers(), zoo.num_layers());
+  auto s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.entries, 2u);
+
+  // The earlier shared value is untouched and still matches its layers.
+  EXPECT_EQ(before->num_layers(), zoo.num_layers() - 1);
+  EXPECT_EQ(before->levels()[0].latency_ms, before_latency);
+  EXPECT_EQ(before->levels()[0].layers.size(), zoo.num_layers() - 1);
+  // The earlier key still describes the shorter list: a fresh graph with
+  // those layers hits it, and the full graph shares the grown entry.
+  costmodel::ModelGraph shorter("shorter");
+  for (std::size_t i = 0; i + 1 < zoo.num_layers(); ++i) {
+    shorter.add(zoo.layers()[i]);
+  }
+  EXPECT_EQ(cm.cached_model_cost_all_levels(shorter, a).get(), before.get());
+  EXPECT_EQ(cm.cached_model_cost_all_levels(zoo, a).get(), after.get());
+  s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.entries, 2u);
+}
+
+TEST(ModelMemo, PrefixesEndAtTheWholeModelCost) {
+  costmodel::AnalyticalCostModel cm;
+  const auto sys = hw::with_default_dvfs(hw::make_accelerator('J', 8192));
+  for (models::TaskId t : models::all_tasks()) {
+    const auto entry =
+        cm.cached_model_cost_all_levels(models::model_graph(t),
+                                        sys.sub_accels[0]);
+    const std::size_t n = entry->num_layers();
+    for (std::size_t lvl = 0; lvl < entry->levels().size(); ++lvl) {
+      const auto& mc = entry->levels()[lvl];
+      EXPECT_EQ(entry->latency_prefix_ms(lvl, 0), 0.0);
+      EXPECT_EQ(entry->latency_prefix_ms(lvl, n), mc.latency_ms);
+      EXPECT_EQ(entry->energy_prefix_mj(lvl, n), mc.energy_mj);
+      EXPECT_EQ(entry->static_prefix_mj(lvl, n), mc.static_energy_mj);
+      EXPECT_EQ(entry->completed_layers(lvl, 0, mc.latency_ms), n);
+      EXPECT_EQ(entry->completed_layers(lvl, n, 0.0), n);
+    }
   }
 }
 

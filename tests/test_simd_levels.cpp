@@ -20,22 +20,29 @@
 #include "models/zoo.h"
 #include "runtime/cost_table.h"
 
-// Global allocation probe for the zero-allocation steady-state assertion.
-// Counts every operator-new call in the process; the test reads the counter
-// around a single kernel call. Plain malloc-backed replacements — the
-// kernel's containers (vector<double>, vector<ModelCost>, vector<LayerCost>)
-// all allocate through the unaligned throwing operator new.
+// Global allocation probe for the zero-allocation steady-state assertions.
+// Counts every operator-new call (and its bytes) in the process; a test
+// reads the counters around the code under test. Plain malloc-backed
+// replacements — the kernel's containers (vector<double>, vector<ModelCost>,
+// vector<LayerCost>) all allocate through the unaligned throwing operator
+// new.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+void count_alloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -181,6 +188,41 @@ TEST(SimdLevels, WarmedScratchIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state model_cost_all_levels allocated";
   EXPECT_EQ(result.size(), sa.dvfs.num_levels());
+}
+
+TEST(SimdLevels, WarmCostTableBuildIsAViewOverTheMemo) {
+  // A warm build looks every (task, sub-accelerator) up in the model memo
+  // (no misses) and only shares the entries: its heap traffic is a few
+  // per-table arrays, not one allocation per lookup and not one double per
+  // layer. The bound is the zoo's layer count, which a per-layer prefix
+  // copy (levels x sub-accelerators x 3 doubles per layer) far exceeds.
+  const auto sys = hw::with_default_dvfs(hw::make_accelerator('M', 8192));
+  const costmodel::AnalyticalCostModel cm;
+  const runtime::CostTable cold(sys, cm);
+  const auto misses = cm.model_memo_stats().misses;
+
+  std::size_t zoo_layers = 0;
+  for (models::TaskId t : models::all_tasks()) {
+    zoo_layers += models::model_graph(t).num_layers();
+  }
+  const std::uint64_t calls_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_before =
+      g_alloc_bytes.load(std::memory_order_relaxed);
+  const runtime::CostTable warm(sys, cm);
+  const std::uint64_t calls =
+      g_alloc_count.load(std::memory_order_relaxed) - calls_before;
+  const std::uint64_t bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before;
+
+  EXPECT_EQ(cm.model_memo_stats().misses, misses);
+  EXPECT_LT(calls, models::kNumTasks)
+      << "a warm build allocated per memo lookup";
+  EXPECT_LT(bytes, zoo_layers * sizeof(double))
+      << "a warm build allocated per layer";
+  EXPECT_EQ(warm.layer_latency_prefix_ms(models::TaskId::kHT, 0, 0,
+                                         warm.num_layers(models::TaskId::kHT)),
+            cold.latency_ms(models::TaskId::kHT, 0, 0));
 }
 
 TEST(SimdLevels, CostTableMatchesModelCostAt) {
