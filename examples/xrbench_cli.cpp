@@ -65,11 +65,16 @@
 //   xrbench_cli --program-config examples/configs/handoff_program.ini
 //   xrbench_cli --hw-config my_chip.ini --csv scores.csv
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/harness.h"
@@ -94,6 +99,33 @@ namespace {
             << "\nSee the header comment of examples/xrbench_cli.cpp for "
                "usage.\n";
   std::exit(2);
+}
+
+/// The one parser of every numeric flag value: the whole token must parse
+/// as a T, be finite, and lie in [lo, hi] (or (lo, hi] with `open_lo`);
+/// anything else is a usage error naming the flag. Range tests are written
+/// !(lo <= x && x <= hi), so NaN can never pass one.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text, T lo,
+               T hi = std::numeric_limits<T>::max(), bool open_lo = false) {
+  T value{};
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, value);
+  bool ok = ec == std::errc() && end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  ok = ok && lo <= value && value <= hi && !(open_lo && value == lo);
+  if (!ok) {
+    std::ostringstream range;
+    range << (std::is_floating_point_v<T> ? "a finite number" : "an integer");
+    if (hi == std::numeric_limits<T>::max()) {
+      range << (open_lo ? " > " : " >= ") << lo;
+    } else {
+      range << " in " << (open_lo ? "(" : "[") << lo << ", " << hi << "]";
+    }
+    usage_error(flag + " must be " + range.str() + ", got '" + text + "'");
+  }
+  return value;
 }
 
 /// Registry-backed name checks: unknown policies fail fast at flag-parse
@@ -207,7 +239,7 @@ int main(int argc, char** argv) {
     };
     try {
       if (arg == "--accel") accel_id = next()[0];
-      else if (arg == "--pes") pes = std::stoll(next());
+      else if (arg == "--pes") pes = parse_number<std::int64_t>(arg, next(), 1);
       else if (arg == "--hw-config") hw_config = next();
       else if (arg == "--scenario") scenario_name = next();
       else if (arg == "--scenario-config") scenario_config = next();
@@ -226,35 +258,41 @@ int main(int argc, char** argv) {
         admission_flag = true;
       }
       else if (arg == "--fault-rate")
-        opt.run.faults.transient_rate = std::stod(next());
+        opt.run.faults.transient_rate = parse_number(arg, next(), 0.0, 1.0);
       else if (arg == "--fault-retries")
-        opt.run.faults.max_retries = std::stoi(next());
+        opt.run.faults.max_retries = parse_number(arg, next(), 0);
       else if (arg == "--fault-backoff")
-        opt.run.faults.retry_backoff_ms = std::stod(next());
+        opt.run.faults.retry_backoff_ms = parse_number(arg, next(), 0.0);
       else if (arg == "--fault-outage-rate")
-        opt.run.faults.outage_rate_per_s = std::stod(next());
+        opt.run.faults.outage_rate_per_s = parse_number(arg, next(), 0.0);
       else if (arg == "--fault-outage-ms")
-        opt.run.faults.outage_ms = std::stod(next());
+        opt.run.faults.outage_ms = parse_number(arg, next(), 0.0);
       else if (arg == "--fault-throttle-rate")
-        opt.run.faults.throttle_rate_per_s = std::stod(next());
+        opt.run.faults.throttle_rate_per_s = parse_number(arg, next(), 0.0);
       else if (arg == "--fault-throttle-ms")
-        opt.run.faults.throttle_ms = std::stod(next());
+        opt.run.faults.throttle_ms = parse_number(arg, next(), 0.0);
       else if (arg == "--fault-throttle-level")
         opt.run.faults.throttle_max_level =
-            static_cast<std::size_t>(std::stoul(next()));
+            parse_number<std::size_t>(arg, next(), 0);
       else if (arg == "--fault-checkpoint")
         opt.run.faults.checkpoint = true;
       else if (arg == "--fault-checkpoint-overhead")
-        opt.run.faults.checkpoint_overhead_ms = std::stod(next());
-      else if (arg == "--duration") opt.run.duration_ms = std::stod(next());
-      else if (arg == "--trials") opt.dynamic_trials = std::stoi(next());
+        opt.run.faults.checkpoint_overhead_ms = parse_number(arg, next(), 0.0);
+      else if (arg == "--duration")
+        opt.run.duration_ms = parse_number(arg, next(), 0.0,
+                                           std::numeric_limits<double>::max(),
+                                           /*open_lo=*/true);
+      else if (arg == "--trials") opt.dynamic_trials = parse_number(arg, next(), 1);
       else if (arg == "--seed") {
-        opt.run.seed = std::stoull(next());
+        opt.run.seed = parse_number<std::uint64_t>(arg, next(), 0);
         seed_flag = true;
       }
       else if (arg == "--no-jitter") opt.run.enable_jitter = false;
-      else if (arg == "--enmax") opt.score.enmax_mj = std::stod(next());
-      else if (arg == "--k") opt.score.k = std::stod(next());
+      else if (arg == "--enmax")
+        opt.score.enmax_mj = parse_number(arg, next(), 0.0,
+                                          std::numeric_limits<double>::max(),
+                                          /*open_lo=*/true);
+      else if (arg == "--k") opt.score.k = parse_number(arg, next(), 0.0);
       else if (arg == "--csv") csv_path = next();
       else if (arg == "--energy-csv") energy_csv_path = next();
       else if (arg == "--timeline") timeline = true;

@@ -1,10 +1,31 @@
 #include "core/aggregate.h"
 
+#include <cstddef>
 #include <stdexcept>
 
-#include "util/stats.h"
-
 namespace xrbench::core {
+
+namespace {
+
+/// Mean-only Welford accumulator: the exact `mean += delta / n` recurrence
+/// of util::RunningStats::add, without the min/max/sum/variance upkeep the
+/// scorer never reads, so its means are bit-identical.
+class RunningMean {
+ public:
+  void add(double x) {
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+  }
+  bool empty() const { return n_ == 0; }
+  double mean() const { return n_ == 0 ? 0.0 : mean_; }
+
+ private:
+  std::size_t n_ = 0;
+  double mean_ = 0.0;
+};
+
+}  // namespace
 
 const ModelScore* ScenarioScore::find(models::TaskId task) const {
   for (const auto& m : models) {
@@ -22,6 +43,7 @@ ScenarioScore score_scenario(const runtime::ScenarioRunResult& run,
   std::int64_t total_expected = 0;
   std::int64_t total_dropped = 0;
 
+  sc.models.reserve(run.per_model.size());
   for (const auto& mstats : run.per_model) {
     const auto& goal = workload::unit_model_spec(mstats.task).quality;
     ModelScore m;
@@ -46,7 +68,7 @@ ScenarioScore score_scenario(const runtime::ScenarioRunResult& run,
     const auto& tdl = recs.tdl_ms();
     const auto& complete = recs.complete_ms();
     const auto& energy = recs.energy_mj();
-    util::RunningStats rt_stats, en_stats, inf_stats;
+    RunningMean rt_stats, en_stats, inf_stats;
     for (std::size_t i = 0; i < recs.size(); ++i) {
       if (dropped[i] != 0) continue;
       const double latency_ms = complete[i] - treq[i];
@@ -71,7 +93,7 @@ ScenarioScore score_scenario(const runtime::ScenarioRunResult& run,
     throw std::invalid_argument("score_scenario: run has no models");
   }
 
-  util::RunningStats rt, en, acc, qoe, overall;
+  RunningMean rt, en, acc, qoe, overall;
   for (const auto& m : sc.models) {
     if (!m.active) continue;
     rt.add(m.rt);
@@ -172,7 +194,7 @@ BenchmarkScore combine_scenarios(std::vector<ScenarioScore> scenarios) {
     throw std::invalid_argument("combine_scenarios: no scenarios");
   }
   BenchmarkScore b;
-  util::RunningStats overall, rt, en, qoe;
+  RunningMean overall, rt, en, qoe;
   for (const auto& s : scenarios) {
     overall.add(s.overall);
     rt.add(s.realtime);

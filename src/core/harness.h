@@ -84,7 +84,7 @@ class Harness {
   /// One raw run of `scenario` with an explicit seed (no score averaging).
   /// A non-null `scratch` reuses that arena across runs (bit-identical
   /// results; trial loops pass one so the big per-trial allocations —
-  /// simulator event pool, record arenas, request/timeline vectors — are
+  /// event heap, record arenas, request/timeline vectors — are
   /// reused instead of reallocated).
   runtime::ScenarioRunResult run_once(const workload::UsageScenario& scenario,
                                       std::uint64_t seed,

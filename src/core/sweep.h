@@ -56,7 +56,7 @@ struct ProgramSweepPoint {
 /// Arena reuse: every task-running thread (each pool worker plus the
 /// calling thread in inline mode) owns a runtime::RunScratch keyed by
 /// util::ThreadPool::current_worker_slot(); consecutive trials on one
-/// worker reuse the same simulator event pool, request/timeline vectors and
+/// worker reuse the same event heap, request/timeline vectors and
 /// SoA record arenas instead of reallocating them (results stay
 /// bit-identical — reuse is invisible to the determinism contract).
 class SweepEngine {

@@ -95,12 +95,4 @@ TaskId parse_task_code(const std::string& code) {
                               "'");
 }
 
-std::size_t task_index(TaskId t) {
-  const auto& tasks = all_tasks();
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i] == t) return i;
-  }
-  return 0;  // unreachable for valid enum values
-}
-
 }  // namespace xrbench::models

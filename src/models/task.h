@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <string>
 
 namespace xrbench::models {
@@ -42,7 +43,10 @@ const char* task_category(TaskId t);
 /// Parses a two-letter code (case-insensitive). Throws on unknown code.
 TaskId parse_task_code(const std::string& code);
 
-/// Stable dense index of a task in [0, kNumTasks).
-std::size_t task_index(TaskId t);
+/// Stable dense index of a task in [0, kNumTasks): its position in
+/// all_tasks(), which lists the enumerators in declaration order.
+constexpr std::size_t task_index(TaskId t) {
+  return static_cast<std::size_t>(t);
+}
 
 }  // namespace xrbench::models

@@ -45,7 +45,14 @@ class CostTable {
   }
   /// Cost at an explicit DVFS level. Throws std::out_of_range.
   const ExecutionCost& cost(models::TaskId task, std::size_t sub_accel,
-                            std::size_t level) const;
+                            std::size_t level) const {
+    check_sub_accel(sub_accel);
+    if (level >= num_levels_[sub_accel]) {
+      throw_out_of_range("CostTable::cost: DVFS level out of range");
+    }
+    return costs_[models::task_index(task) * total_levels_ +
+                  level_offset_[sub_accel] + level];
+  }
 
   double latency_ms(models::TaskId task, std::size_t sub_accel) const {
     return cost(task, sub_accel).latency_ms;
@@ -80,7 +87,13 @@ class CostTable {
   /// Idle power (W) of `sub_accel` parked at `level`, precomputed from
   /// DvfsState::idle_mw at the level's voltage. 0 for hardware without an
   /// idle-power term — the runner skips idle accounting entirely then.
-  double idle_power_w(std::size_t sub_accel, std::size_t level) const;
+  double idle_power_w(std::size_t sub_accel, std::size_t level) const {
+    check_sub_accel(sub_accel);
+    if (level >= num_levels_[sub_accel]) {
+      throw_out_of_range("CostTable::idle_power_w: level out of range");
+    }
+    return idle_power_w_[level_offset_[sub_accel] + level];
+  }
 
   // ---- Layer-granular cost prefixes (checkpoint/resume) ------------------
   // Per (task, sub-accel, level) prefix sums over the model's layers, in
@@ -125,7 +138,14 @@ class CostTable {
                                double elapsed_ms) const;
 
  private:
-  void check_sub_accel(std::size_t sub_accel) const;
+  /// Inline range checks (these accessors run several times per request);
+  /// the throw itself stays out of line.
+  [[noreturn]] static void throw_out_of_range(const char* what);
+  void check_sub_accel(std::size_t sub_accel) const {
+    if (sub_accel >= num_sub_accels_) {
+      throw_out_of_range("CostTable: sub_accel out of range");
+    }
+  }
   std::size_t checked_nominal(std::size_t sub_accel) const {
     check_sub_accel(sub_accel);
     return nominal_level_[sub_accel];

@@ -1,6 +1,7 @@
 #include "runtime/fault_plan.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/rng.h"
@@ -23,14 +24,14 @@ constexpr std::uint64_t kThrottleStream = 0x7417ULL;
 constexpr std::uint64_t kDomainOutageStream = 0xD0A17ULL;
 constexpr std::uint64_t kDomainThrottleStream = 0xD7417ULL;
 
-/// Poisson-process windows over [0, horizon_ms): exponential inter-arrival
-/// gaps, fixed duration, never overlapping (the next gap starts after the
-/// previous window closes). Entirely driven by a private Rng.
-std::vector<FaultWindow> generate_windows(double rate_per_s, double dur_ms,
-                                          std::uint64_t key,
-                                          double horizon_ms) {
-  std::vector<FaultWindow> windows;
-  if (rate_per_s <= 0.0 || dur_ms <= 0.0) return windows;
+/// Poisson-process windows over [0, horizon_ms) into `windows` (cleared
+/// first): exponential inter-arrival gaps, fixed duration, never
+/// overlapping (the next gap starts after the previous window closes).
+/// Entirely driven by a private Rng.
+void generate_windows(std::vector<FaultWindow>& windows, double rate_per_s,
+                      double dur_ms, std::uint64_t key, double horizon_ms) {
+  windows.clear();
+  if (rate_per_s <= 0.0 || dur_ms <= 0.0) return;
   util::Rng rng(key);
   const double mean_gap_ms = 1000.0 / rate_per_s;
   double t = 0.0;
@@ -41,7 +42,11 @@ std::vector<FaultWindow> generate_windows(double rate_per_s, double dur_ms,
     windows.push_back({t, t + dur_ms});
     t += dur_ms;
   }
-  return windows;
+}
+
+/// Range test of the open-ended [faults] fields, false for NaN and inf.
+bool finite_non_negative(double x) {
+  return 0.0 <= x && x <= std::numeric_limits<double>::max();
 }
 
 }  // namespace
@@ -50,6 +55,13 @@ FaultPlan::FaultPlan(const FaultSpec& spec, std::uint64_t seed,
                      std::size_t num_sub_accels, double duration_ms,
                      const std::vector<std::vector<std::size_t>>& fault_domains) {
   validate_fault_spec(spec);
+  rebuild(spec, seed, num_sub_accels, duration_ms, fault_domains);
+}
+
+void FaultPlan::rebuild(
+    const FaultSpec& spec, std::uint64_t seed, std::size_t num_sub_accels,
+    double duration_ms,
+    const std::vector<std::vector<std::size_t>>& fault_domains) {
   spec_ = spec;
   fault_seed_ = util::combine_keys(seed, kFaultStreamSalt);
   num_domains_ = fault_domains.size();
@@ -72,39 +84,39 @@ FaultPlan::FaultPlan(const FaultSpec& spec, std::uint64_t seed,
   }
   outages_.resize(num_sub_accels);
   throttles_.resize(num_sub_accels);
-  // Domain schedules are drawn once per domain; every member shares the
-  // same windows, which is what makes the failure correlated — one thermal
-  // event offlines/clamps the whole group at the same simulated instant.
-  std::vector<std::vector<FaultWindow>> domain_outages(num_domains_);
-  std::vector<std::vector<FaultWindow>> domain_throttles(num_domains_);
+  // Domain schedules are drawn once per domain, into its first member;
+  // every other member copies them, which is what makes the failure
+  // correlated — one thermal event offlines/clamps the whole group at the
+  // same simulated instant.
   for (std::size_t d = 0; d < num_domains_; ++d) {
-    domain_outages[d] = generate_windows(
-        spec.outage_rate_per_s, spec.outage_ms,
-        util::combine_keys(fault_seed_,
-                           util::combine_keys(kDomainOutageStream, d)),
-        duration_ms);
-    domain_throttles[d] = generate_windows(
-        spec.throttle_rate_per_s, spec.throttle_ms,
-        util::combine_keys(fault_seed_,
-                           util::combine_keys(kDomainThrottleStream, d)),
-        duration_ms);
+    const auto& members = fault_domains[d];
+    if (members.empty()) continue;
+    const std::size_t first = members.front();
+    generate_windows(outages_[first], spec.outage_rate_per_s, spec.outage_ms,
+                     util::combine_keys(
+                         fault_seed_, util::combine_keys(kDomainOutageStream, d)),
+                     duration_ms);
+    generate_windows(throttles_[first], spec.throttle_rate_per_s,
+                     spec.throttle_ms,
+                     util::combine_keys(fault_seed_, util::combine_keys(
+                                                         kDomainThrottleStream, d)),
+                     duration_ms);
+    for (std::size_t sa : members) {
+      outages_[sa] = outages_[first];
+      throttles_[sa] = throttles_[first];
+    }
   }
   for (std::size_t sa = 0; sa < num_sub_accels; ++sa) {
-    if (domain_of_[sa] >= 0) {
-      const auto d = static_cast<std::size_t>(domain_of_[sa]);
-      outages_[sa] = domain_outages[d];
-      throttles_[sa] = domain_throttles[d];
-      continue;
-    }
-    outages_[sa] = generate_windows(
-        spec.outage_rate_per_s, spec.outage_ms,
+    if (domain_of_[sa] >= 0) continue;
+    generate_windows(
+        outages_[sa], spec.outage_rate_per_s, spec.outage_ms,
         util::combine_keys(fault_seed_, util::combine_keys(kOutageStream, sa)),
         duration_ms);
-    throttles_[sa] = generate_windows(
-        spec.throttle_rate_per_s, spec.throttle_ms,
-        util::combine_keys(fault_seed_,
-                           util::combine_keys(kThrottleStream, sa)),
-        duration_ms);
+    generate_windows(throttles_[sa], spec.throttle_rate_per_s,
+                     spec.throttle_ms,
+                     util::combine_keys(fault_seed_,
+                                        util::combine_keys(kThrottleStream, sa)),
+                     duration_ms);
   }
 }
 
@@ -170,19 +182,21 @@ FaultSpec parse_fault_section(const util::IniDocument::Section& sec,
   FaultSpec spec;
   if (sec.has("transient_rate")) {
     spec.transient_rate = sec.get_double("transient_rate");
-    if (spec.transient_rate < 0.0 || spec.transient_rate > 1.0) {
+    if (!(0.0 <= spec.transient_rate && spec.transient_rate <= 1.0)) {
       fail("transient_rate", "transient_rate must be in [0, 1]");
     }
   }
   if (sec.has("outage_rate_per_s")) {
     spec.outage_rate_per_s = sec.get_double("outage_rate_per_s");
-    if (spec.outage_rate_per_s < 0.0) {
-      fail("outage_rate_per_s", "outage_rate_per_s must be >= 0");
+    if (!finite_non_negative(spec.outage_rate_per_s)) {
+      fail("outage_rate_per_s", "outage_rate_per_s must be finite and >= 0");
     }
   }
   if (sec.has("outage_ms")) {
     spec.outage_ms = sec.get_double("outage_ms");
-    if (spec.outage_ms < 0.0) fail("outage_ms", "outage_ms must be >= 0");
+    if (!finite_non_negative(spec.outage_ms)) {
+      fail("outage_ms", "outage_ms must be finite and >= 0");
+    }
   }
   if (spec.outage_rate_per_s > 0.0 && spec.outage_ms <= 0.0) {
     fail(sec.has("outage_ms") ? "outage_ms" : "outage_rate_per_s",
@@ -190,13 +204,16 @@ FaultSpec parse_fault_section(const util::IniDocument::Section& sec,
   }
   if (sec.has("throttle_rate_per_s")) {
     spec.throttle_rate_per_s = sec.get_double("throttle_rate_per_s");
-    if (spec.throttle_rate_per_s < 0.0) {
-      fail("throttle_rate_per_s", "throttle_rate_per_s must be >= 0");
+    if (!finite_non_negative(spec.throttle_rate_per_s)) {
+      fail("throttle_rate_per_s",
+           "throttle_rate_per_s must be finite and >= 0");
     }
   }
   if (sec.has("throttle_ms")) {
     spec.throttle_ms = sec.get_double("throttle_ms");
-    if (spec.throttle_ms < 0.0) fail("throttle_ms", "throttle_ms must be >= 0");
+    if (!finite_non_negative(spec.throttle_ms)) {
+      fail("throttle_ms", "throttle_ms must be finite and >= 0");
+    }
   }
   if (spec.throttle_rate_per_s > 0.0 && spec.throttle_ms <= 0.0) {
     fail(sec.has("throttle_ms") ? "throttle_ms" : "throttle_rate_per_s",
@@ -214,8 +231,8 @@ FaultSpec parse_fault_section(const util::IniDocument::Section& sec,
   }
   if (sec.has("retry_backoff_ms")) {
     spec.retry_backoff_ms = sec.get_double("retry_backoff_ms");
-    if (spec.retry_backoff_ms < 0.0) {
-      fail("retry_backoff_ms", "retry_backoff_ms must be >= 0");
+    if (!finite_non_negative(spec.retry_backoff_ms)) {
+      fail("retry_backoff_ms", "retry_backoff_ms must be finite and >= 0");
     }
   }
   if (sec.has("checkpoint")) {
@@ -223,8 +240,9 @@ FaultSpec parse_fault_section(const util::IniDocument::Section& sec,
   }
   if (sec.has("checkpoint_overhead_ms")) {
     spec.checkpoint_overhead_ms = sec.get_double("checkpoint_overhead_ms");
-    if (spec.checkpoint_overhead_ms < 0.0) {
-      fail("checkpoint_overhead_ms", "checkpoint_overhead_ms must be >= 0");
+    if (!finite_non_negative(spec.checkpoint_overhead_ms)) {
+      fail("checkpoint_overhead_ms",
+           "checkpoint_overhead_ms must be finite and >= 0");
     }
   }
   return spec;

@@ -47,6 +47,13 @@ class FaultPlan {
             std::size_t num_sub_accels, double duration_ms,
             const std::vector<std::vector<std::size_t>>& fault_domains = {});
 
+  /// Re-materializes this plan in place, exactly as the constructor would
+  /// (minus the spec validation), reusing the window vectors' capacity: a
+  /// reused run arena allocates nothing in steady state.
+  void rebuild(const FaultSpec& spec, std::uint64_t seed,
+               std::size_t num_sub_accels, double duration_ms,
+               const std::vector<std::vector<std::size_t>>& fault_domains);
+
   bool enabled() const { return spec_.enabled(); }
   const FaultSpec& spec() const { return spec_; }
   std::size_t num_sub_accels() const { return outages_.size(); }
@@ -79,7 +86,7 @@ class FaultPlan {
 
 /// Per-run fault state: which units are currently offline, monotone
 /// cursors into the throttle windows, nothing more. The ScenarioRunner owns
-/// the in-flight kill bookkeeping (it holds the simulator handles); the
+/// the in-flight kill bookkeeping (it voids queued completions); the
 /// injector is the queryable view that dispatch decisions consult.
 class FaultInjector {
  public:

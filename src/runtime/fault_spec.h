@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace xrbench::runtime {
@@ -83,42 +84,47 @@ struct FaultSpec {
 /// raise their own line-numbered variants; this is the programmatic check
 /// used by the runner and harness.
 inline void validate_fault_spec(const FaultSpec& spec) {
-  if (spec.transient_rate < 0.0 || spec.transient_rate > 1.0) {
+  // Every range test is written !(lo <= x && x <= hi) so NaN fails it; the
+  // upper bound of the open-ended fields also rejects infinity.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  if (!(0.0 <= spec.transient_rate && spec.transient_rate <= 1.0)) {
     throw std::invalid_argument(
         "fault spec: transient_rate must be in [0, 1]");
   }
-  if (spec.outage_rate_per_s < 0.0) {
+  if (!(0.0 <= spec.outage_rate_per_s && spec.outage_rate_per_s <= kMax)) {
     throw std::invalid_argument(
-        "fault spec: outage_rate_per_s must be >= 0");
+        "fault spec: outage_rate_per_s must be finite and >= 0");
   }
   if (spec.outage_rate_per_s > 0.0 && spec.outage_ms <= 0.0) {
     throw std::invalid_argument(
         "fault spec: outage_ms must be > 0 when outages are enabled");
   }
-  if (spec.outage_ms < 0.0) {
-    throw std::invalid_argument("fault spec: outage_ms must be >= 0");
+  if (!(0.0 <= spec.outage_ms && spec.outage_ms <= kMax)) {
+    throw std::invalid_argument("fault spec: outage_ms must be finite and >= 0");
   }
-  if (spec.throttle_rate_per_s < 0.0) {
+  if (!(0.0 <= spec.throttle_rate_per_s &&
+        spec.throttle_rate_per_s <= kMax)) {
     throw std::invalid_argument(
-        "fault spec: throttle_rate_per_s must be >= 0");
+        "fault spec: throttle_rate_per_s must be finite and >= 0");
   }
   if (spec.throttle_rate_per_s > 0.0 && spec.throttle_ms <= 0.0) {
     throw std::invalid_argument(
         "fault spec: throttle_ms must be > 0 when throttling is enabled");
   }
-  if (spec.throttle_ms < 0.0) {
-    throw std::invalid_argument("fault spec: throttle_ms must be >= 0");
+  if (!(0.0 <= spec.throttle_ms && spec.throttle_ms <= kMax)) {
+    throw std::invalid_argument("fault spec: throttle_ms must be finite and >= 0");
   }
   if (spec.max_retries < 0) {
     throw std::invalid_argument("fault spec: max_retries must be >= 0");
   }
-  if (spec.retry_backoff_ms < 0.0) {
+  if (!(0.0 <= spec.retry_backoff_ms && spec.retry_backoff_ms <= kMax)) {
     throw std::invalid_argument(
-        "fault spec: retry_backoff_ms must be >= 0");
+        "fault spec: retry_backoff_ms must be finite and >= 0");
   }
-  if (spec.checkpoint_overhead_ms < 0.0) {
+  if (!(0.0 <= spec.checkpoint_overhead_ms &&
+        spec.checkpoint_overhead_ms <= kMax)) {
     throw std::invalid_argument(
-        "fault spec: checkpoint_overhead_ms must be >= 0");
+        "fault spec: checkpoint_overhead_ms must be finite and >= 0");
   }
 }
 

@@ -232,19 +232,18 @@ std::vector<InferenceRecord> RecordStore::view() const {
   return out;
 }
 
-void RecordStore::sort_canonical() {
+void RecordStore::sort_canonical(std::vector<std::size_t>& order) {
   const std::size_t n = size_;
-  if (n < 2) return;
-  std::vector<std::size_t> order(n);
+  std::size_t sorted_to = 1;
+  while (sorted_to < n && !canonical_less(sorted_to, sorted_to - 1)) {
+    ++sorted_to;
+  }
+  if (sorted_to >= n) return;  // already canonical
+  order.resize(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [this](std::size_t a, std::size_t b) {
-              if (frame_[a] != frame_[b]) return frame_[a] < frame_[b];
-              if (treq_ms_[a] != treq_ms_[b]) return treq_ms_[a] < treq_ms_[b];
-              if (dropped_[a] != dropped_[b]) {
-                return dropped_[b] != 0;  // executed before dropped
-              }
-              return dispatch_ms_[a] < dispatch_ms_[b];
+              return canonical_less(a, b);
             });
   // Apply the permutation in place, cycle by cycle (at most n-1 row swaps,
   // no per-column scratch copies — this runs once per model per trial).

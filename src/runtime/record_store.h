@@ -93,8 +93,10 @@ class RecordStore {
   /// treq, executed-before-dropped, dispatch) — via one index permutation
   /// applied in place, cycle by cycle. Same full tie-break as the former
   /// AoS std::sort: equal keys must not permute between runs or stdlib
-  /// implementations.
-  void sort_canonical();
+  /// implementations. Returns after one linear check when the store is
+  /// already canonical (the common case: records append in event order).
+  /// `order` is the permutation scratch; its capacity is reused.
+  void sort_canonical(std::vector<std::size_t>& order);
 
   /// Proxy iterator: dereferences to a materialized InferenceRecord by
   /// value. Keeps `for (const auto& rec : store)` working (the const ref
@@ -122,6 +124,13 @@ class RecordStore {
   /// (Re)allocates the arena for `n` records and rebases the column
   /// pointers, copying the first `size_` records of each column over.
   void rebase(std::size_t n);
+  /// True when record `a` precedes record `b` in the canonical order.
+  bool canonical_less(std::size_t a, std::size_t b) const {
+    if (frame_[a] != frame_[b]) return frame_[a] < frame_[b];
+    if (treq_ms_[a] != treq_ms_[b]) return treq_ms_[a] < treq_ms_[b];
+    if (dropped_[a] != dropped_[b]) return dropped_[b] != 0;  // executed 1st
+    return dispatch_ms_[a] < dispatch_ms_[b];
+  }
   void ensure_capacity() {
     if (size_ == capacity_) rebase(capacity_ == 0 ? 16 : capacity_ * 2);
   }

@@ -9,7 +9,7 @@
 
 #include "runtime/admission.h"
 #include "runtime/dispatch_context.h"
-#include "sim/simulator.h"
+#include "runtime/event_queue.h"
 #include "util/rng.h"
 #include "workload/input_source.h"
 #include "workload/unit_model.h"
@@ -59,11 +59,10 @@ double deadline_ms(const InputSource& src, double model_fps, std::int64_t f) {
   return workload::ideal_arrival_ms(src, next);
 }
 
-/// Full tie-break for timeline entries: two dispatches can share a start
-/// time (distinct idle sub-accelerators at one event), and std::sort is not
-/// stable — keying on start_ms alone would let equal-time entries permute
-/// between runs or stdlib implementations. Shared by the single-run sort
-/// and the program merge re-sort.
+/// Canonical timeline order with a full tie-break: two dispatches can share
+/// a start time (distinct idle sub-accelerators at one event), so keying on
+/// start_ms alone would leave equal-time entries in no fixed order. Shared
+/// by the single-run bucket merge and the program phase join.
 bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
   if (a.start_ms != b.start_ms) return a.start_ms < b.start_ms;
   if (a.sub_accel != b.sub_accel) return a.sub_accel < b.sub_accel;
@@ -73,15 +72,28 @@ bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
   return a.frame < b.frame;
 }
 
+/// Restores timeline_less order over `tl` when every entry before `from` is
+/// already in order: each later entry steps back past the entries that sort
+/// after it. O(size + displacement), so cheap when the tail is nearly in
+/// place (a bucket append, or a program phase joined after the previous
+/// phase's short drain).
+void settle_timeline(std::vector<BusyInterval>& tl, std::size_t from) {
+  for (std::size_t i = std::max<std::size_t>(from, 1); i < tl.size(); ++i) {
+    for (std::size_t j = i; j > 0 && timeline_less(tl[j], tl[j - 1]); --j) {
+      std::swap(tl[j], tl[j - 1]);
+    }
+  }
+}
+
 }  // namespace
 
 /// Mutable state + dispatch machinery of one scenario run, owned by a
 /// RunScratch so the runner itself stays const / reusable AND the buffers
-/// survive across runs: begin_run() rewinds the simulator clock and
-/// clear()s every vector in place, take_store()/take_timeline() hand out
-/// recycled arenas, so a sweep worker's thousands of trials allocate only
-/// on their first run. All per-model state lives in flat vectors indexed by
-/// the model's slot in the scenario (looked up through a dense task->slot
+/// survive across runs: begin_run() rewinds the event queue and clear()s
+/// every vector in place, take_store()/take_result() hand out recycled
+/// arenas, so a sweep worker's thousands of trials allocate only on their
+/// first run. All per-model state lives in flat vectors indexed by the
+/// model's slot in the scenario (looked up through a dense task->slot
 /// table), and the pending queue uses swap-remove, so the simulation hot
 /// path performs no hashing and no mid-vector erases.
 struct RunScratch::Impl {
@@ -91,18 +103,32 @@ struct RunScratch::Impl {
   Scheduler* scheduler = nullptr;
   FrequencyGovernor* governor = nullptr;  ///< May be null: nominal level.
 
-  sim::Simulator sim;
-  /// One generator frame of the arrival stream, with its load-generation
-  /// index: the tie-break that keeps equal-time arrivals in generation order.
-  struct Arrival {
-    InferenceRequest req;
-    std::size_t index = 0;
+  /// Completions, retries and outage windows. Sensor frames never enter
+  /// it: the run loop merges them in from the load-generator cursors.
+  EventQueue events;
+  /// Load generator of one independently driven model: its next frame and
+  /// that frame's request time. A model's request times rise frame over
+  /// frame, so the run's arrival stream is a merge of these cursors, in
+  /// (request time, scenario slot) order — the order a sort of every
+  /// generated frame by (time, generation index) would give.
+  struct Cursor {
+    models::TaskId task = models::TaskId::kHT;
+    /// Input streams (the first paces the deadlines); a multi-modal model
+    /// waits for all of them.
+    std::array<const InputSource*, workload::kNumInputSources> inputs{};
+    std::size_t num_inputs = 0;
+    double fps = 0.0;
+    std::int64_t frame = 0;
+    std::int64_t num_frames = 0;
+    double treq_ms = 0.0;  ///< Request time of `frame`.
   };
-  /// Every generator frame of the run, sorted by (arrival time, index) and
-  /// merged ahead of the simulator's queue. Arrivals are known before the
-  /// run starts, so they never enter the event heap, which then holds only
-  /// completions, retries and outage windows.
-  std::vector<Arrival> arrivals;
+  std::vector<Cursor> cursors;  ///< Scenario order.
+  /// Jittered arrival of each sensor frame per input source (NaN until
+  /// first read), so models sharing a source hash each frame once per run.
+  std::array<std::vector<double>, workload::kNumInputSources>
+      sensor_arrival_ms;
+  std::uint64_t jitter_seed = 0;
+  bool enable_jitter = true;
   util::Rng rng;
   Telemetry telemetry;
   std::vector<InferenceRequest> pending;
@@ -125,13 +151,18 @@ struct RunScratch::Impl {
   /// Idle energy accrues only inside [0, duration]: the drain past the
   /// window belongs to the next phase's (or nobody's) accounting.
   double idle_account_end_ms = 0.0;
-  std::vector<BusyInterval> timeline;
+  /// Busy intervals per sub-accelerator. A unit runs one dispatch at a
+  /// time, so each bucket fills in start order; the result timeline is the
+  /// merge of the buckets, with no sort.
+  std::vector<std::vector<BusyInterval>> unit_timeline;
+  std::vector<std::size_t> merge_pos;  ///< Bucket cursors of that merge.
   // Per-model state, indexed by scenario slot.
   std::vector<ModelRunStats> stats;
   std::vector<std::vector<const ScenarioModel*>> fanout;
   std::vector<double> baseline_mj;  ///< Per-inference baseline share (mJ).
   std::array<int, models::kNumTasks> slot_of{};  // task index -> slot or -1
   std::vector<std::size_t> idle_scratch;
+  std::vector<std::size_t> sort_order;  ///< RecordStore::sort_canonical.
   double total_energy_mj = 0.0;
   // ---- Fault injection (inert on fault-free runs) -------------------------
   /// The materialized schedule for this run (empty plan when no fault class
@@ -141,9 +172,7 @@ struct RunScratch::Impl {
   AdmissionController* admission = nullptr;  ///< May be null: admit all.
   ResilienceStats resilience;
   /// In-flight dispatch per sub-accelerator, written on every dispatch: the
-  /// completion event carries only the unit index and reads the rest here,
-  /// and an outage kill cancels the completion through its handle.
-  std::vector<sim::EventId> inflight_event;
+  /// completion event carries only the unit index and reads the rest here.
   std::vector<InferenceRequest> inflight_req;
   std::vector<std::size_t> inflight_level;
   std::vector<double> inflight_start;
@@ -152,12 +181,17 @@ struct RunScratch::Impl {
   /// outage-kill path subtracts it from the busy interval before walking
   /// the layer prefixes, so overhead time never counts as completed layers.
   std::vector<double> inflight_extra_ms;
+  /// Requests waiting out a retry backoff; a kRetry event names its slot.
+  std::vector<InferenceRequest> retry_slots;
+  std::vector<std::uint32_t> free_retry_slots;
   /// Best-case latency per model slot over every (unit, level): the retry
   /// feasibility bound (give up when even this cannot meet the deadline).
   std::vector<double> best_latency;
   // Recycled arenas (fed by RunScratch::recycle).
   std::vector<RecordStore> store_pool;
-  std::vector<std::vector<BusyInterval>> timeline_pool;
+  /// Consumed results, emptied but holding their capacity: the name, the
+  /// per-model list, the timeline, the busy-ms vector and the telemetry.
+  std::vector<ScenarioRunResult> result_pool;
 
   Impl() { slot_of.fill(-1); }
 
@@ -169,11 +203,13 @@ struct RunScratch::Impl {
     system = &sys;
     scheduler = &s;
     governor = g;
-    sim.reset();
-    rng.reseed(config.seed);
-    pending.clear();
-    arrivals.clear();
     const std::size_t n = sys.sub_accels.size();
+    events.reset(n);
+    rng.reseed(config.seed);
+    jitter_seed = config.seed;
+    enable_jitter = config.enable_jitter;
+    pending.clear();
+    cursors.clear();
     accel_busy.assign(n, 0);
     accel_busy_ms.assign(n, 0.0);
     last_level.assign(n, -1);
@@ -199,21 +235,25 @@ struct RunScratch::Impl {
     const FaultSpec& fspec =
         config.faults.enabled() ? config.faults : sys.faults;
     validate_fault_spec(fspec);
-    fault_plan = fspec.enabled()
-                     ? FaultPlan(fspec, config.seed, n, config.duration_ms,
-                                 sys.fault_domains)
-                     : FaultPlan{};
+    if (fspec.enabled()) {
+      fault_plan.rebuild(fspec, config.seed, n, config.duration_ms,
+                         sys.fault_domains);
+    } else {
+      fault_plan = FaultPlan{};
+    }
     injector.arm(&fault_plan, n);
-    inflight_event.assign(n, 0);
     inflight_req.assign(n, InferenceRequest{});
     inflight_level.assign(n, 0);
     inflight_start.assign(n, 0.0);
     inflight_extra_ms.assign(n, 0.0);
+    retry_slots.clear();
+    free_retry_slots.clear();
     best_latency.clear();
-    if (timeline.capacity() == 0) timeline = take_timeline();
-    timeline.clear();
+    // Inner vectors are cleared, never destroyed, so their capacity stays.
+    if (unit_timeline.size() < n) unit_timeline.resize(n);
+    for (auto& bucket : unit_timeline) bucket.clear();
     stats.clear();
-    fanout.clear();
+    for (auto& down : fanout) down.clear();
     baseline_mj.clear();
     slot_of.fill(-1);
     idle_scratch.clear();
@@ -230,13 +270,102 @@ struct RunScratch::Impl {
     return store;
   }
 
-  /// A cleared timeline vector with whatever capacity the pool retained.
-  std::vector<BusyInterval> take_timeline() {
-    if (timeline_pool.empty()) return {};
-    std::vector<BusyInterval> tl = std::move(timeline_pool.back());
-    timeline_pool.pop_back();
-    tl.clear();
-    return tl;
+  /// An empty result whose buffers keep whatever capacity the pool
+  /// retained.
+  ScenarioRunResult take_result() {
+    if (result_pool.empty()) return ScenarioRunResult();
+    ScenarioRunResult result = std::move(result_pool.back());
+    result_pool.pop_back();
+    return result;
+  }
+
+  /// Jittered arrival time of sensor frame `sf` of `src` (Definition 7),
+  /// hashed at most once per run.
+  double sensor_arrival(const InputSource& src, std::int64_t sf) {
+    double& t = sensor_arrival_ms[static_cast<std::size_t>(src.id)]
+                                 [static_cast<std::size_t>(sf)];
+    if (std::isnan(t)) {
+      t = workload::frame_arrival_ms(src, sf, jitter_seed, enable_jitter);
+    }
+    return t;
+  }
+
+  /// Request time of the cursor's current frame: multi-modal models wait
+  /// for the latest of their input streams.
+  double request_ms(const Cursor& c) {
+    double treq = 0.0;
+    for (std::size_t i = 0; i < c.num_inputs; ++i) {
+      const InputSource& src = *c.inputs[i];
+      treq = std::max(treq,
+                      sensor_arrival(src, sensor_frame_for(src.fps, c.fps,
+                                                           c.frame)));
+    }
+    return treq;
+  }
+
+  /// Pops the next generator frame of the merged arrival stream into
+  /// `req`. Returns false once every cursor is exhausted.
+  bool next_arrival(InferenceRequest& req) {
+    Cursor* next = nullptr;
+    for (auto& c : cursors) {
+      if (c.frame < c.num_frames &&
+          (next == nullptr || c.treq_ms < next->treq_ms)) {
+        next = &c;
+      }
+    }
+    if (next == nullptr) return false;
+    req = InferenceRequest{};
+    req.task = next->task;
+    req.frame = next->frame;
+    req.treq_ms = next->treq_ms;
+    req.tdl_ms = deadline_ms(*next->inputs[0], next->fps, next->frame);
+    if (++next->frame < next->num_frames) {
+      const double treq = request_ms(*next);
+      // Table-3 jitter (<= 0.1 ms) is far below any frame period, so a
+      // model's request times cannot fall; the merge relies on it.
+      if (treq < next->treq_ms) {
+        throw std::logic_error(
+            std::string("ScenarioRunner: request times of ") +
+            models::task_code(next->task) + " fall between frames");
+      }
+      next->treq_ms = treq;
+    }
+    return true;
+  }
+
+  /// Appends a busy interval of `sa` to its bucket. Dispatches on one unit
+  /// are serial, so starts arrive in order; only an equal-start tie (after
+  /// a zero-length interval) can need a step back.
+  void record_busy(std::size_t sa, const InferenceRequest& req,
+                   double start_ms, double end_ms) {
+    auto& bucket = unit_timeline[sa];
+    bucket.push_back(BusyInterval{static_cast<int>(sa), req.task, req.frame,
+                                  start_ms, end_ms});
+    settle_timeline(bucket, bucket.size() - 1);
+  }
+
+  /// Merges the per-unit buckets into `out` in timeline_less order.
+  void merge_timeline(std::vector<BusyInterval>& out) {
+    const std::size_t k = system->sub_accels.size();
+    std::size_t total = 0;
+    for (std::size_t sa = 0; sa < k; ++sa) total += unit_timeline[sa].size();
+    out.clear();
+    out.reserve(total);
+    merge_pos.assign(k, 0);
+    for (std::size_t i = 0; i < total; ++i) {
+      const BusyInterval* best = nullptr;
+      std::size_t best_sa = 0;
+      for (std::size_t sa = 0; sa < k; ++sa) {
+        if (merge_pos[sa] == unit_timeline[sa].size()) continue;
+        const BusyInterval& head = unit_timeline[sa][merge_pos[sa]];
+        if (best == nullptr || timeline_less(head, *best)) {
+          best = &head;
+          best_sa = sa;
+        }
+      }
+      out.push_back(*best);
+      ++merge_pos[best_sa];
+    }
   }
 
   std::size_t slot(models::TaskId task) const {
@@ -286,7 +415,7 @@ struct RunScratch::Impl {
   void arrive(const InferenceRequest& req) {
     if (admission != nullptr) {
       DispatchContext actx;
-      actx.now_ms = sim.now();
+      actx.now_ms = events.now();
       actx.request = &req;
       actx.offline = injector.active() ? &injector.offline_mask() : nullptr;
       actx.domain_offline =
@@ -350,7 +479,7 @@ struct RunScratch::Impl {
     const InferenceRequest req = inflight_req[sa];
     const std::size_t level = inflight_level[sa];
     const double start_ms = inflight_start[sa];
-    const double now = sim.now();
+    const double now = events.now();
     accel_busy[sa] = 0;
     accel_busy_ms[sa] += now - start_ms;
 
@@ -374,8 +503,7 @@ struct RunScratch::Impl {
     ms.records.append_executed(req.task, req.frame, req.treq_ms, req.tdl_ms,
                                static_cast<int>(sa), static_cast<int>(level),
                                start_ms, now, energy_mj, resumed);
-    timeline.push_back(
-        BusyInterval{static_cast<int>(sa), req.task, req.frame, start_ms, now});
+    record_busy(sa, req, start_ms, now);
     // Accelerator energy split (the device baseline is system-level, not a
     // sub-accelerator term, so it stays out of the breakdown).
     telemetry.on_retire(sa, req, level, now, accel_mj - static_mj, static_mj);
@@ -416,7 +544,7 @@ struct RunScratch::Impl {
     const InferenceRequest req = inflight_req[sa];
     const std::size_t level = inflight_level[sa];
     const double start_ms = inflight_start[sa];
-    const double now = sim.now();
+    const double now = events.now();
     accel_busy[sa] = 0;
     accel_busy_ms[sa] += now - start_ms;
     const ExecutionCost& cost = costs->cost(req.task, sa, level);
@@ -431,8 +559,7 @@ struct RunScratch::Impl {
       burn_static_mj -= costs->layer_static_prefix_mj(req.task, sa, level, from);
     }
     total_energy_mj += burn_mj;
-    timeline.push_back(
-        BusyInterval{static_cast<int>(sa), req.task, req.frame, start_ms, now});
+    record_busy(sa, req, start_ms, now);
     telemetry.on_abort(sa, now, burn_mj - burn_static_mj, burn_static_mj);
     ++resilience.transient_faults;
     park_after(req, sa, level, now);
@@ -445,13 +572,16 @@ struct RunScratch::Impl {
       ++resilience.retries;
       InferenceRequest retry = req;
       ++retry.attempt;  // fresh Bernoulli draw for the next try
-      Impl* self = this;
-      // Retries re-enter pending directly: the request was already admitted
-      // at arrival, and admission is an arrival-time decision.
-      sim.schedule_at(t_retry, [self, retry] {
-        self->pending.push_back(retry);
-        self->try_dispatch();
-      });
+      std::uint32_t rs;
+      if (free_retry_slots.empty()) {
+        rs = static_cast<std::uint32_t>(retry_slots.size());
+        retry_slots.push_back(retry);
+      } else {
+        rs = free_retry_slots.back();
+        free_retry_slots.pop_back();
+        retry_slots[rs] = retry;
+      }
+      events.push_at(t_retry, EventKind::kRetry, rs);
     } else {
       auto& ms = stats[sl];
       ms.records.append_dropped(req.task, req.frame, req.treq_ms, req.tdl_ms);
@@ -468,8 +598,9 @@ struct RunScratch::Impl {
   /// whatever healthy unit the scheduler picks.
   void on_outage_start(std::size_t sa) {
     injector.set_offline(sa, true);
-    if (accel_busy[sa] != 0 && sim.cancel(inflight_event[sa])) {
-      const double now = sim.now();
+    if (accel_busy[sa] != 0 &&
+        events.void_completion(static_cast<std::uint32_t>(sa))) {
+      const double now = events.now();
       const InferenceRequest req = inflight_req[sa];
       const std::size_t level = inflight_level[sa];
       const double start = inflight_start[sa];
@@ -515,10 +646,7 @@ struct RunScratch::Impl {
                            frac * (cost.energy_mj - cost.static_energy_mj),
                            frac * cost.static_energy_mj);
       }
-      if (now > start) {
-        timeline.push_back(BusyInterval{static_cast<int>(sa), req.task,
-                                        req.frame, start, now});
-      }
+      if (now > start) record_busy(sa, req, start, now);
       ++resilience.outage_kills;
       // The dead unit sits at its parked level; idle accounting restarts
       // at the kill instant (the busy window above consumed [start, now)).
@@ -535,9 +663,9 @@ struct RunScratch::Impl {
   }
 
   void try_dispatch() {
-    drop_stale(sim.now());
+    drop_stale(events.now());
     const bool faulted = injector.active();
-    while (true) {
+    while (!pending.empty()) {
       auto& idle = idle_scratch;
       idle.clear();
       for (std::size_t sa = 0; sa < accel_busy.size(); ++sa) {
@@ -547,9 +675,9 @@ struct RunScratch::Impl {
           idle.push_back(sa);
         }
       }
-      if (idle.empty() || pending.empty()) return;
+      if (idle.empty()) return;
       DispatchContext ctx;
-      ctx.now_ms = sim.now();
+      ctx.now_ms = events.now();
       ctx.pending = &pending;
       ctx.idle_sub_accels = &idle;
       ctx.offline = faulted ? &injector.offline_mask() : nullptr;
@@ -572,7 +700,7 @@ struct RunScratch::Impl {
       pending.pop_back();
       const std::size_t sa = choice->sub_accel;
       accel_busy[sa] = 1;
-      const double start = sim.now();
+      const double start = events.now();
       std::size_t level = costs->nominal_level(sa);
       if (governor != nullptr) {
         DispatchContext gctx;
@@ -645,17 +773,31 @@ struct RunScratch::Impl {
       inflight_start[sa] = start;
       inflight_extra_ms[sa] = extra;
       // The fault decision is drawn here (it is a pure hash — placement
-      // cannot change it), and the completion handle is kept so an outage
-      // can kill this execution mid-flight.
-      Impl* self = this;
-      if (faulted &&
-          fault_plan.transient_fault(req.task, req.frame, req.attempt)) {
-        inflight_event[sa] =
-            sim.schedule_after(latency, [self, sa] { self->on_fault(sa); });
-      } else {
-        inflight_event[sa] =
-            sim.schedule_after(latency, [self, sa] { self->on_complete(sa); });
-      }
+      // cannot change it); an outage voids the unit's completion to kill
+      // this execution mid-flight.
+      const bool fails =
+          faulted &&
+          fault_plan.transient_fault(req.task, req.frame, req.attempt);
+      events.push_after(latency,
+                        fails ? EventKind::kFault : EventKind::kComplete,
+                        static_cast<std::uint32_t>(sa));
+    }
+  }
+
+  /// Runs the handler of one popped event.
+  void fire(const Event& e) {
+    switch (e.kind) {
+      case EventKind::kComplete: on_complete(e.unit); break;
+      case EventKind::kFault: on_fault(e.unit); break;
+      case EventKind::kRetry:
+        // Retries re-enter pending directly: the request was already
+        // admitted at arrival, and admission is an arrival-time decision.
+        pending.push_back(retry_slots[e.unit]);
+        free_retry_slots.push_back(e.unit);
+        try_dispatch();
+        break;
+      case EventKind::kOutageStart: on_outage_start(e.unit); break;
+      case EventKind::kOutageEnd: on_outage_end(e.unit); break;
     }
   }
 };
@@ -675,17 +817,25 @@ void RunScratch::recycle(ScenarioRunResult&& result) {
     it->records.clear();
     impl_->store_pool.push_back(std::move(it->records));
   }
+  // The rest of the result keeps its capacity for the next take_result():
+  // cleared here, overwritten in place by the next run's assembly.
+  result.scenario_name.clear();
   result.per_model.clear();
   result.timeline.clear();
-  impl_->timeline_pool.push_back(std::move(result.timeline));
+  result.sub_accel_busy_ms.clear();
+  result.phase_start_ms.clear();
+  result.duration_ms = 0.0;
+  result.total_energy_mj = 0.0;
+  result.resilience = ResilienceStats{};
+  impl_->result_pool.push_back(std::move(result));
 }
 
 std::size_t RunScratch::pooled_stores() const {
   return impl_->store_pool.size();
 }
 
-std::size_t RunScratch::event_pool_slots() const {
-  return impl_->sim.pool_slots();
+std::size_t RunScratch::event_queue_high_water() const {
+  return impl_->events.high_water();
 }
 
 std::size_t RunScratch::pooled_record_capacity() const {
@@ -744,9 +894,8 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
 
   const std::size_t num_models = scenario.models.size();
   eng.stats.resize(num_models);
-  eng.fanout.resize(num_models);
+  if (eng.fanout.size() < num_models) eng.fanout.resize(num_models);
   eng.baseline_mj.resize(num_models);
-  std::int64_t total_expected = 0;
   for (std::size_t sl = 0; sl < num_models; ++sl) {
     const auto& sm = scenario.models[sl];
     eng.slot_of[models::task_index(sm.task)] = static_cast<int>(sl);
@@ -765,9 +914,10 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     const int up = eng.slot_of[models::task_index(*sm.depends_on)];
     if (up >= 0) eng.fanout[static_cast<std::size_t>(up)].push_back(&sm);
   }
-  // Reserve record/timeline storage up front: each model sees at most its
-  // frame budget (plus upstream-triggered requests bounded by the same
+  // Reserve record and pending storage up front: each model sees at most
+  // its frame budget (plus upstream-triggered requests bounded by the same
   // rate), so the hot loop never reallocates.
+  std::int64_t total_expected = 0;
   for (std::size_t sl = 0; sl < num_models; ++sl) {
     const auto& sm = scenario.models[sl];
     const auto budget = static_cast<std::int64_t>(
@@ -775,55 +925,44 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     eng.stats[sl].records.reserve(static_cast<std::size_t>(budget) + 8);
     total_expected += budget;
   }
-  eng.timeline.reserve(static_cast<std::size_t>(total_expected) + 8);
   eng.pending.reserve(static_cast<std::size_t>(total_expected) + 8);
-  eng.arrivals.reserve(static_cast<std::size_t>(total_expected));
 
   // ---- Load generation (Figure 2's load generator) ---------------------
 
+  // Per source: how many sensor frames the run reads.
+  std::array<std::size_t, workload::kNumInputSources> sensor_frames{};
   for (const auto& sm : scenario.models) {
     auto& ms = eng.stats[eng.slot(sm.task)];
+    const auto num_frames = static_cast<std::int64_t>(
+        std::llround(sm.target_fps * config.duration_ms / 1000.0));
     if (sm.depends_on) {
       if (sm.dependency == DependencyType::kData) {
         // Data-dependent: one request expected per upstream target frame.
-        ms.frames_expected = static_cast<std::int64_t>(
-            std::llround(sm.target_fps * config.duration_ms / 1000.0));
+        ms.frames_expected = num_frames;
       }
       continue;  // requests created by upstream completions
     }
-    const auto& spec = workload::unit_model_spec(sm.task);
-    const auto& driver = workload::input_source(spec.inputs.front());
-    const auto num_frames = static_cast<std::int64_t>(
-        std::llround(sm.target_fps * config.duration_ms / 1000.0));
     ms.frames_expected = num_frames;
-    for (std::int64_t f = 0; f < num_frames; ++f) {
-      // Multi-modal models wait for the latest of their input streams.
-      double treq = 0.0;
-      for (const auto in : spec.inputs) {
-        const auto& src = workload::input_source(in);
-        const std::int64_t sf = sensor_frame_for(src.fps, sm.target_fps, f);
-        treq = std::max(treq, workload::frame_arrival_ms(
-                                  src, sf, config.seed, config.enable_jitter));
-      }
-      InferenceRequest req;
-      req.task = sm.task;
-      req.frame = f;
-      req.treq_ms = treq;
-      req.tdl_ms = deadline_ms(driver, sm.target_fps, f);
-      eng.arrivals.push_back({req, eng.arrivals.size()});
+    if (num_frames <= 0) continue;
+    RunScratch::Impl::Cursor c;
+    c.task = sm.task;
+    c.fps = sm.target_fps;
+    c.num_frames = num_frames;
+    for (const auto in : workload::unit_model_spec(sm.task).inputs) {
+      const auto& src = workload::input_source(in);
+      c.inputs.at(c.num_inputs++) = &src;
+      const auto last = static_cast<std::size_t>(
+          sensor_frame_for(src.fps, sm.target_fps, num_frames - 1));
+      auto& n = sensor_frames[static_cast<std::size_t>(in)];
+      n = std::max(n, last + 1);
     }
+    eng.cursors.push_back(c);
   }
-  // treq is never negative (the generator folds in 0.0), so it needs no
-  // clamp to the run start. std::sort, not stable_sort: the index already
-  // makes the key unique, and stable_sort allocates a buffer.
-  std::sort(eng.arrivals.begin(), eng.arrivals.end(),
-            [](const RunScratch::Impl::Arrival& a,
-               const RunScratch::Impl::Arrival& b) {
-              if (a.req.treq_ms != b.req.treq_ms) {
-                return a.req.treq_ms < b.req.treq_ms;
-              }
-              return a.index < b.index;
-            });
+  for (std::size_t in = 0; in < sensor_frames.size(); ++in) {
+    eng.sensor_arrival_ms[in].assign(sensor_frames[in],
+                                     std::numeric_limits<double>::quiet_NaN());
+  }
+  for (auto& c : eng.cursors) c.treq_ms = eng.request_ms(c);
 
   // ---- Fault schedule (precomputed; worker count cannot reorder it) -----
   if (eng.injector.active()) {
@@ -841,18 +980,17 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
         }
       }
     }
-    // Outage windows become simulator events. At an exactly shared
-    // timestamp the arrival is processed first (the run loop merges each
-    // arrival ahead of queued events at its time) — a fixed, documented
-    // order that no worker count can perturb. Throttle windows need no
-    // events: the dispatcher samples them via FaultInjector::throttle_cap.
-    RunScratch::Impl* self = &eng;
+    // Outage windows become queued events. At an exactly shared timestamp
+    // the arrival is processed first (the run loop merges each arrival
+    // ahead of queued events at its time) — a fixed, documented order that
+    // no worker count can perturb. Throttle windows need no events: the
+    // dispatcher samples them via FaultInjector::throttle_cap.
     for (std::size_t sa = 0; sa < system_->sub_accels.size(); ++sa) {
+      const auto unit = static_cast<std::uint32_t>(sa);
       for (const auto& w : eng.fault_plan.outages(sa)) {
         if (w.start_ms >= config.duration_ms) break;
-        eng.sim.schedule_at(w.start_ms,
-                            [self, sa] { self->on_outage_start(sa); });
-        eng.sim.schedule_at(w.end_ms, [self, sa] { self->on_outage_end(sa); });
+        eng.events.push_at(w.start_ms, EventKind::kOutageStart, unit);
+        eng.events.push_at(w.end_ms, EventKind::kOutageEnd, unit);
       }
     }
   }
@@ -860,12 +998,15 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   // Merge the arrival stream ahead of the event queue: every queued event
   // strictly before an arrival fires first, then the arrival; queued events
   // at the arrival's own time wait for it.
-  for (const auto& a : eng.arrivals) {
-    eng.sim.run_before(a.req.treq_ms);
-    eng.arrive(a.req);
+  InferenceRequest arrival;
+  Event event;
+  while (eng.next_arrival(arrival)) {
+    while (eng.events.pop_before(arrival.treq_ms, event)) eng.fire(event);
+    eng.events.advance_to(arrival.treq_ms);
+    eng.arrive(arrival);
     eng.try_dispatch();
   }
-  eng.sim.run();
+  while (eng.events.pop(event)) eng.fire(event);
   // Anything still pending after the event queue drained can never start.
   eng.drop_stale(std::numeric_limits<double>::infinity());
   // Close the trailing idle windows at the CONFIGURED duration, not the
@@ -884,13 +1025,13 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   eng.telemetry.finish(config.duration_ms);
 
   // ---- Result assembly --------------------------------------------------
-  ScenarioRunResult result;
+  // Into a recycled result: every assignment below reuses its capacity.
+  ScenarioRunResult result = eng.take_result();
   result.scenario_name = scenario.name;
   result.duration_ms = config.duration_ms;
   result.total_energy_mj = eng.total_energy_mj;
-  result.sub_accel_busy_ms = std::move(eng.accel_busy_ms);
-  result.timeline = std::move(eng.timeline);
-  std::sort(result.timeline.begin(), result.timeline.end(), timeline_less);
+  result.sub_accel_busy_ms = eng.accel_busy_ms;
+  eng.merge_timeline(result.timeline);
   result.telemetry = eng.telemetry;
   result.resilience = eng.resilience;
   // An inactive injector with zero drop-early rejections leaves the section
@@ -899,10 +1040,9 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
       eng.injector.active() || eng.resilience.drops_early > 0;
   result.per_model.reserve(num_models);
   for (auto& ms : eng.stats) {
-    // Same reasoning as the timeline sort: a frame index can repeat within
-    // one model's records, so break ties on the remaining attributes (the
-    // canonical comparator lives with the SoA store's permutation sort).
-    ms.records.sort_canonical();
+    // A frame index can repeat within one model's records, so the canonical
+    // order breaks ties on the remaining attributes (see sort_canonical).
+    ms.records.sort_canonical(eng.sort_order);
     result.per_model.push_back(std::move(ms));
   }
   return result;
@@ -925,12 +1065,11 @@ ScenarioRunResult ScenarioRunner::run_program(
   std::optional<RunScratch> local;
   RunScratch* arena = scratch != nullptr ? scratch : &local.emplace();
 
-  ScenarioRunResult out;
-  out.scenario_name = program.name;
   // Session-level storage comes from the arena too: a trial loop recycles
   // the merged result, and reusing its arenas here is what keeps the pool
   // at its high-water mark instead of growing by one result per trial.
-  out.timeline = arena->impl_->take_timeline();
+  ScenarioRunResult out = arena->impl_->take_result();
+  out.scenario_name = program.name;
   out.sub_accel_busy_ms.assign(system_->sub_accels.size(), 0.0);
   out.telemetry.reset(system_->sub_accels.size());
   out.phase_start_ms.reserve(program.phases.size());
@@ -965,12 +1104,17 @@ ScenarioRunResult ScenarioRunner::run_program(
     for (std::size_t sa = 0; sa < phase_run.sub_accel_busy_ms.size(); ++sa) {
       out.sub_accel_busy_ms[sa] += phase_run.sub_accel_busy_ms[sa];
     }
-    out.timeline.reserve(out.timeline.size() + phase_run.timeline.size());
+    // A completion can drain past its phase window, so the joined phase
+    // settles behind the previous phase's short tail: canonical order
+    // without a sort (a no-op for a single-phase program, the bit-identity
+    // anchor).
+    const std::size_t joined = out.timeline.size();
     for (BusyInterval iv : phase_run.timeline) {
       iv.start_ms += phase_start;
       iv.end_ms += phase_start;
       out.timeline.push_back(iv);
     }
+    settle_timeline(out.timeline, joined);
     for (auto& ms : phase_run.per_model) {
       int& slot = merged_slot[models::task_index(ms.task)];
       if (slot < 0) {
@@ -1001,13 +1145,12 @@ ScenarioRunResult ScenarioRunner::run_program(
   }
   out.duration_ms = phase_start;
 
-  // Re-establish the canonical orders over the merged session: a completion
-  // can drain past its phase window, and per-model frame indices restart at
-  // every phase boundary, so plain concatenation is not sorted. Both sorts
-  // are deterministic total orders — for a single-phase program they are
-  // no-ops on the already-canonical phase result (the bit-identity anchor).
-  std::sort(out.timeline.begin(), out.timeline.end(), timeline_less);
-  for (auto& ms : out.per_model) ms.records.sort_canonical();
+  // Per-model frame indices restart at every phase boundary, so the merged
+  // records need the canonical sort; a single-phase program's records are
+  // already canonical and return from it untouched.
+  for (auto& ms : out.per_model) {
+    ms.records.sort_canonical(arena->impl_->sort_order);
+  }
   return out;
 }
 

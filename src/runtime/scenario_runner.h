@@ -102,12 +102,13 @@ struct ScenarioRunResult {
 };
 
 /// Reusable run-state arena for ScenarioRunner::run/run_program. One run
-/// allocates simulator event pools, request/timeline vectors and SoA record
-/// arenas; a sweep runs thousands of sub-millisecond trials, so those
-/// allocations were a measurable tax. A RunScratch keeps all of it alive
-/// between runs: the runner clear()s and reuses the buffers (capacity is
-/// retained — enforced by test), and recycle() returns a consumed result's
-/// record/timeline storage to the pool.
+/// needs an event heap, request/timeline vectors, SoA record arenas and the
+/// result's own buffers; a sweep runs thousands of sub-millisecond trials,
+/// so those allocations were a measurable tax. A RunScratch keeps all of it
+/// alive between runs: the runner clear()s and reuses the buffers (capacity
+/// is retained), and recycle() returns a consumed result's storage to the
+/// pool. After one warm-up run, a repeat run() allocates nothing (enforced
+/// by test).
 ///
 /// A scratch is single-threaded state: never share one across concurrent
 /// runs (SweepEngine keys one per worker thread). Results produced with a
@@ -122,16 +123,17 @@ class RunScratch {
   RunScratch(const RunScratch&) = delete;
   RunScratch& operator=(const RunScratch&) = delete;
 
-  /// Returns `result`'s record stores and timeline storage to the pool
-  /// (call once the result has been scored/consumed; `result` is left
-  /// empty but valid).
+  /// Returns `result`'s storage to the pool: its record stores, and its
+  /// name, per-model list, timeline, busy-ms vector and telemetry with
+  /// their capacity (call once the result has been scored/consumed;
+  /// `result` is left empty but valid).
   void recycle(ScenarioRunResult&& result);
 
   /// Pool diagnostics (capacity-retention tests).
   std::size_t pooled_stores() const;
   std::size_t pooled_record_capacity() const;  ///< Sum over pooled stores.
-  /// High-water count of simultaneously queued simulator events.
-  std::size_t event_pool_slots() const;
+  /// Most events (live or voided) queued at once during the last run.
+  std::size_t event_queue_high_water() const;
 
  private:
   friend class ScenarioRunner;

@@ -14,11 +14,43 @@ Telemetry::Telemetry(TelemetryConfig config) : config_(config) {
   }
 }
 
+Telemetry::Telemetry(const Telemetry& other) : config_(other.config_) {
+  *this = other;
+}
+
+Telemetry& Telemetry::operator=(const Telemetry& other) {
+  if (this == &other) return *this;
+  config_ = other.config_;
+  window_end_ms_ = other.window_end_ms_;
+  resize_subs(other.subs_.size());
+  for (std::size_t sa = 0; sa < subs_.size(); ++sa) subs_[sa] = other.subs_[sa];
+  task_latency_ewma_ = other.task_latency_ewma_;
+  task_completions_ = other.task_completions_;
+  queue_depth_ = other.queue_depth_;
+  queue_depth_ewma_ = other.queue_depth_ewma_;
+  return *this;
+}
+
+void Telemetry::resize_subs(std::size_t n) {
+  while (subs_.size() > n) {
+    spare_.push_back(std::move(subs_.back()));
+    subs_.pop_back();
+  }
+  while (subs_.size() < n) {
+    if (spare_.empty()) {
+      subs_.emplace_back();
+    } else {
+      subs_.push_back(std::move(spare_.back()));
+      spare_.pop_back();
+    }
+  }
+}
+
 void Telemetry::reset(std::size_t num_sub_accels, double window_end_ms) {
   window_end_ms_ = window_end_ms;
   // Shrink-free reset: the per-sub-accel structs (and their level-history
   // vectors) keep their capacity, so a reused Telemetry allocates nothing.
-  if (subs_.size() != num_sub_accels) subs_.resize(num_sub_accels);
+  resize_subs(num_sub_accels);
   for (auto& sub : subs_) {
     auto history = std::move(sub.recent_levels);
     sub = SubAccelTelemetry{};

@@ -78,6 +78,14 @@ struct SubAccelTelemetry {
 class Telemetry {
  public:
   explicit Telemetry(TelemetryConfig config = {});
+  /// Copies keep the destination's buffers: assigning a snapshot into a
+  /// recycled Telemetry allocates nothing once its capacity suffices, even
+  /// when the sub-accelerator count differs.
+  Telemetry(const Telemetry& other);
+  Telemetry& operator=(const Telemetry& other);
+  Telemetry(Telemetry&&) noexcept = default;
+  Telemetry& operator=(Telemetry&&) noexcept = default;
+  ~Telemetry() = default;
 
   /// Re-arms for a run over `num_sub_accels` sub-accelerators (clears all
   /// state, keeps allocated capacity). `window_end_ms` bounds the IDLE-time
@@ -163,10 +171,14 @@ class Telemetry {
   /// Accounts the [last_event, now] interval of `sa` as busy or idle and
   /// decays the utilization EWMA toward the interval's occupancy.
   void advance(SubAccelTelemetry& sub, double now_ms);
+  /// Resizes subs_ to `n`, parking dropped structs in spare_ and reviving
+  /// them first, so their level-history buffers survive a count change.
+  void resize_subs(std::size_t n);
 
   TelemetryConfig config_;
   double window_end_ms_ = std::numeric_limits<double>::infinity();
   std::vector<SubAccelTelemetry> subs_;
+  std::vector<SubAccelTelemetry> spare_;  ///< Not part of the state.
   std::array<double, models::kNumTasks> task_latency_ewma_{};
   std::array<std::int64_t, models::kNumTasks> task_completions_{};
   std::size_t queue_depth_ = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@ namespace xrbench::workload {
 
 /// The three input sources of a metaverse device (paper Table 3).
 enum class InputSourceId { kCamera, kLidar, kMicrophone };
+inline constexpr std::size_t kNumInputSources = 3;
 
 const char* input_source_name(InputSourceId id);
 

@@ -27,7 +27,7 @@ ScenarioModel parse_model_section(const util::IniDocument::Section& sec) {
   m.task = models::parse_task_code(sec.get("task"));
   m.target_fps = sec.get_double("fps");
   const auto& src = input_source(driving_source(m.task));
-  if (m.target_fps <= 0.0 || m.target_fps > src.fps) {
+  if (!(0.0 < m.target_fps && m.target_fps <= src.fps)) {
     throw std::invalid_argument(
         "scenario config: fps for " + std::string(models::task_code(m.task)) +
         " must be in (0, " + std::to_string(src.fps) + "]");
@@ -38,7 +38,7 @@ ScenarioModel parse_model_section(const util::IniDocument::Section& sec) {
     m.trigger_probability = sec.has("trigger_probability")
                                 ? sec.get_double("trigger_probability")
                                 : 1.0;
-    if (m.trigger_probability < 0.0 || m.trigger_probability > 1.0) {
+    if (!(0.0 <= m.trigger_probability && m.trigger_probability <= 1.0)) {
       throw std::invalid_argument(
           "scenario config: trigger_probability must be in [0,1]");
     }
@@ -249,7 +249,7 @@ std::vector<ScenarioProgram> programs_from_document(
       }
       phase.scenario = resolved != nullptr ? *resolved : scenario_by_name(ref);
       phase.duration_ms = sec.get_double("duration_ms");
-      if (phase.duration_ms <= 0.0) {
+      if (!(phase.duration_ms > 0.0)) {
         throw std::invalid_argument(
             "program config: duration_ms must be > 0 (line " +
             std::to_string(sec.line_of("duration_ms")) + ")");

@@ -30,7 +30,7 @@ void validate_program(const ScenarioProgram& program) {
   }
   for (std::size_t i = 0; i < program.phases.size(); ++i) {
     const auto& phase = program.phases[i];
-    if (phase.duration_ms <= 0.0) {
+    if (!(phase.duration_ms > 0.0)) {
       throw std::invalid_argument("scenario program '" + program.name +
                                   "': phase " + std::to_string(i) +
                                   " duration must be > 0");
@@ -42,11 +42,17 @@ void validate_program(const ScenarioProgram& program) {
     }
     for (const auto& sm : phase.scenario.models) {
       const auto& src = input_source(driving_source(sm.task));
-      if (sm.target_fps <= 0.0 || sm.target_fps > src.fps + 1e-9) {
+      if (!(0.0 < sm.target_fps && sm.target_fps <= src.fps + 1e-9)) {
         throw std::invalid_argument(
             "scenario program '" + program.name + "': phase " +
             std::to_string(i) + " model " + models::task_code(sm.task) +
             " target FPS outside (0, sensor rate]");
+      }
+      if (!(0.0 <= sm.trigger_probability && sm.trigger_probability <= 1.0)) {
+        throw std::invalid_argument(
+            "scenario program '" + program.name + "': phase " +
+            std::to_string(i) + " model " + models::task_code(sm.task) +
+            " trigger_probability outside [0, 1]");
       }
     }
     validate_dependency_rates(phase.scenario);

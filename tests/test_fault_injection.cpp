@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/harness.h"
@@ -193,6 +194,36 @@ TEST(FaultSpecValidation, RejectsOutOfRangeFields) {
   f.retry_backoff_ms = -2.0;
   EXPECT_THROW(validate_fault_spec(f), std::invalid_argument);
   EXPECT_NO_THROW(validate_fault_spec(sample_spec()));
+}
+
+TEST(FaultSpecValidation, RejectsNanAndInfinity) {
+  // NaN used to pass the [0, 1] transient_rate test (xrbench_cli
+  // --fault-rate nan ran to exit 0).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double FaultSpec::*field :
+       {&FaultSpec::transient_rate, &FaultSpec::outage_rate_per_s,
+        &FaultSpec::outage_ms, &FaultSpec::throttle_rate_per_s,
+        &FaultSpec::throttle_ms, &FaultSpec::retry_backoff_ms,
+        &FaultSpec::checkpoint_overhead_ms}) {
+    for (double bad : {nan, inf}) {
+      FaultSpec f = sample_spec();
+      f.*field = bad;
+      EXPECT_THROW(validate_fault_spec(f), std::invalid_argument) << bad;
+    }
+  }
+  // The [faults] parser names the line for a NaN as well.
+  try {
+    hw::from_config_text(
+        "[chip]\nid = X\nclock_ghz = 1.0\n"
+        "[faults]\ntransient_rate = nan\n"
+        "[sub_accel]\ndataflow = WS\nnum_pes = 1024\nnoc_gbps = 64\n"
+        "offchip_gbps = 8\nsram_kib = 2048\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- Config round-trips ---------------------------------------------------

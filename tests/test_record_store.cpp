@@ -103,7 +103,8 @@ TEST(RecordStore, SortCanonicalMatchesAosSort) {
               if (a.dropped != b.dropped) return b.dropped;
               return a.dispatch_ms < b.dispatch_ms;
             });
-  store.sort_canonical();
+  std::vector<std::size_t> order;
+  store.sort_canonical(order);
   ASSERT_EQ(store.size(), aos.size());
   for (std::size_t i = 0; i < aos.size(); ++i) {
     EXPECT_EQ(store[i].frame, aos[i].frame) << i;
@@ -113,6 +114,25 @@ TEST(RecordStore, SortCanonicalMatchesAosSort) {
     EXPECT_EQ(store[i].complete_ms, aos[i].complete_ms) << i;
     EXPECT_EQ(store[i].energy_mj, aos[i].energy_mj) << i;
   }
+}
+
+TEST(RecordStore, SortCanonicalReturnsEarlyAndReusesItsScratch) {
+  RecordStore store;
+  store.push_back(executed(TaskId::kOD, 2, 4.0, 9.0, 4.5, 5.0, 0.1));
+  store.push_back(executed(TaskId::kOD, 1, 2.0, 7.0, 2.5, 3.0, 0.1));
+  store.push_back(executed(TaskId::kOD, 0, 0.0, 5.0, 0.5, 1.0, 0.1));
+  std::vector<std::size_t> order;
+  store.sort_canonical(order);  // out of order: permutes via the scratch
+  EXPECT_EQ(store[0].frame, 0);
+  EXPECT_EQ(store[2].frame, 2);
+  const std::size_t capacity = order.capacity();
+  EXPECT_GE(capacity, store.size());
+  // Already canonical: one linear check, no permutation, scratch untouched.
+  order.assign(1, 7);
+  store.sort_canonical(order);
+  EXPECT_EQ(order, std::vector<std::size_t>{7});
+  EXPECT_EQ(order.capacity(), capacity);
+  EXPECT_EQ(store[1].frame, 1);
 }
 
 TEST(RecordStore, FullSuiteRunColumnsAgreeWithAosView) {

@@ -2,12 +2,38 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <vector>
 
 #include "core/sweep.h"
 #include "hw/accelerator.h"
 #include "runtime/policy_registry.h"
 #include "workload/scenario_program.h"
+
+// Global allocation probe (the idiom of test_simd_levels.cpp): counts every
+// operator-new call in the process; a test reads the counter around the
+// code under test.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+
+void* counted_new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xrbench::runtime {
 namespace {
@@ -157,11 +183,12 @@ TEST_F(RunScratchTest, ProgramTrialLoopPoolPlateausAtHighWaterMark) {
   EXPECT_EQ(scratch.pooled_record_capacity(), capacity_after_warmup);
 }
 
-TEST_F(RunScratchTest, EventPoolHoldsOnlyInFlightWork) {
-  // Generator arrivals stream past the simulator queue, so its pool only
-  // ever holds one completion per busy unit, the outage boundaries (start
-  // and end, both queued up front) and pending retries — never a frame per
-  // arrival.
+TEST_F(RunScratchTest, EventQueueHoldsOnlyInFlightWork) {
+  // Generator arrivals stream past the event queue, so it only ever holds
+  // one completion per busy unit, the outage boundaries (start and end,
+  // both queued up front) and pending retries — never a frame per arrival.
+  // A killed completion's voided entry stays queued until it surfaces, but
+  // the outage start that killed it has left by then.
   const std::size_t units = system_.sub_accels.size();
   auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
   for (const auto& scenario : workload::benchmark_suite()) {
@@ -170,7 +197,7 @@ TEST_F(RunScratchTest, EventPoolHoldsOnlyInFlightWork) {
     const auto run =
         runner_.run(scenario, *scheduler, RunConfig{}, nullptr, &scratch);
     EXPECT_GT(run.timeline.size(), units) << scenario.name;
-    EXPECT_LE(scratch.event_pool_slots(), units) << scenario.name;
+    EXPECT_LE(scratch.event_queue_high_water(), units) << scenario.name;
   }
 
   RunConfig cfg;
@@ -192,7 +219,7 @@ TEST_F(RunScratchTest, EventPoolHoldsOnlyInFlightWork) {
   scheduler->reset();
   const auto run = runner_.run(workload::scenario_by_name("AR Gaming"),
                                *scheduler, cfg, nullptr, &scratch);
-  EXPECT_LE(scratch.event_pool_slots(),
+  EXPECT_LE(scratch.event_queue_high_water(),
             units + outage_events +
                 static_cast<std::size_t>(run.resilience.retries));
 }
@@ -219,29 +246,161 @@ TEST(SweepScratch, RepeatedSweepsOnOneEngineAreIdentical) {
   }
 }
 
-TEST(SimulatorReuse, ResetRewindsClockAndKeepsCapacity) {
-  xrbench::sim::Simulator s;
-  int fired = 0;
-  s.schedule_at(5.0, [&] { ++fired; });
-  s.schedule_at(9.0, [&] { ++fired; });
-  s.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(s.now(), 9.0);
-  const std::size_t slots = s.pool_slots();
-  s.reset();
-  EXPECT_DOUBLE_EQ(s.now(), 0.0);
-  EXPECT_EQ(s.pool_slots(), slots);  // arena retained
-  // Events before the old end time are legal again after the rewind.
-  double when = -1.0;
-  s.schedule_at(2.0, [&] { when = s.now(); });
-  s.run();
-  EXPECT_DOUBLE_EQ(when, 2.0);
+/// Fault profile exercising every fault path: transient burns with
+/// retries, outage kills with failover, and checkpoint resumes.
+FaultSpec every_fault_class() {
+  FaultSpec f;
+  f.transient_rate = 0.05;
+  f.outage_rate_per_s = 4.0;
+  f.outage_ms = 20.0;
+  f.max_retries = 2;
+  f.retry_backoff_ms = 2.0;
+  f.checkpoint = true;
+  f.checkpoint_overhead_ms = 0.5;
+  return f;
 }
 
-TEST(SimulatorReuse, ResetWithPendingEventsThrows) {
-  xrbench::sim::Simulator s;
-  s.schedule_at(1.0, [] {});
-  EXPECT_THROW(s.reset(), std::logic_error);
+/// Allocations made by one more run() on a scratch already warmed by one
+/// identical run. Policies are built (and reset) outside the probe window.
+std::uint64_t warm_run_allocations(const ScenarioRunner& runner,
+                                   const workload::UsageScenario& scenario,
+                                   const RunConfig& cfg, ResilienceStats* out) {
+  auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
+  auto governor = PolicyRegistry::instance().make_governor("ondemand");
+  RunScratch scratch;
+  scheduler->reset();
+  governor->reset();
+  scratch.recycle(runner.run(scenario, *scheduler, cfg, governor.get(),
+                             &scratch));
+  scheduler->reset();
+  governor->reset();
+  const std::uint64_t before = g_alloc_count.load();
+  ScenarioRunResult run =
+      runner.run(scenario, *scheduler, cfg, governor.get(), &scratch);
+  const std::uint64_t allocations = g_alloc_count.load() - before;
+  if (out != nullptr) *out = run.resilience;
+  scratch.recycle(std::move(run));
+  return allocations;
+}
+
+TEST_F(RunScratchTest, WarmRunAllocatesNothing) {
+  for (const auto& scenario : workload::benchmark_suite()) {
+    EXPECT_EQ(warm_run_allocations(runner_, scenario, RunConfig{}, nullptr),
+              0u)
+        << scenario.name;
+  }
+  RunConfig cfg;
+  cfg.faults = every_fault_class();
+  ResilienceStats res;
+  EXPECT_EQ(warm_run_allocations(
+                runner_, workload::scenario_by_name("AR Gaming"), cfg, &res),
+            0u);
+  // The faulted run really took every fault path it claims to cover.
+  EXPECT_GT(res.retries, 0);
+  EXPECT_GT(res.outage_kills, 0);
+  EXPECT_GT(res.resumes, 0);
+}
+
+TEST_F(RunScratchTest, WarmProgramRunAllocationCount) {
+  // Reported, not gated: run_program still merges phases into fresh
+  // per-model bookkeeping.
+  auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
+  const auto& program = workload::program_by_name("Scenario Hand-Off");
+  RunScratch scratch;
+  std::uint64_t allocations = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    scheduler->reset();
+    const std::uint64_t before = g_alloc_count.load();
+    auto run = runner_.run_program(program, *scheduler, RunConfig{}, nullptr,
+                                   &scratch);
+    allocations = g_alloc_count.load() - before;
+    scratch.recycle(std::move(run));
+  }
+  std::cout << "[ alloc    ] warm run_program(\"" << program.name
+            << "\"): " << allocations << " allocations\n";
+  RecordProperty("warm_run_program_allocations",
+                 static_cast<int>(allocations));
+}
+
+// ---- Canonical-order oracles: the sorts the runner no longer runs -------
+
+bool oracle_timeline_less(const BusyInterval& a, const BusyInterval& b) {
+  if (a.start_ms != b.start_ms) return a.start_ms < b.start_ms;
+  if (a.sub_accel != b.sub_accel) return a.sub_accel < b.sub_accel;
+  if (a.task != b.task) {
+    return static_cast<int>(a.task) < static_cast<int>(b.task);
+  }
+  return a.frame < b.frame;
+}
+
+bool oracle_record_less(const InferenceRecord& a, const InferenceRecord& b) {
+  if (a.frame != b.frame) return a.frame < b.frame;
+  if (a.treq_ms != b.treq_ms) return a.treq_ms < b.treq_ms;
+  if (a.dropped != b.dropped) return b.dropped;  // executed before dropped
+  return a.dispatch_ms < b.dispatch_ms;
+}
+
+void expect_canonical(const ScenarioRunResult& run, const std::string& what) {
+  auto timeline = run.timeline;
+  std::sort(timeline.begin(), timeline.end(), oracle_timeline_less);
+  ASSERT_EQ(timeline.size(), run.timeline.size()) << what;
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    EXPECT_EQ(timeline[i].start_ms, run.timeline[i].start_ms) << what << i;
+    EXPECT_EQ(timeline[i].end_ms, run.timeline[i].end_ms) << what << i;
+    EXPECT_EQ(timeline[i].sub_accel, run.timeline[i].sub_accel) << what << i;
+    EXPECT_EQ(timeline[i].task, run.timeline[i].task) << what << i;
+    EXPECT_EQ(timeline[i].frame, run.timeline[i].frame) << what << i;
+  }
+  for (const auto& ms : run.per_model) {
+    const auto records = ms.records.view();
+    auto sorted = records;
+    std::sort(sorted.begin(), sorted.end(), oracle_record_less);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(sorted[i].frame, records[i].frame) << what << i;
+      EXPECT_EQ(sorted[i].treq_ms, records[i].treq_ms) << what << i;
+      EXPECT_EQ(sorted[i].dropped, records[i].dropped) << what << i;
+      EXPECT_EQ(sorted[i].dispatch_ms, records[i].dispatch_ms) << what << i;
+      EXPECT_EQ(sorted[i].complete_ms, records[i].complete_ms) << what << i;
+      EXPECT_EQ(sorted[i].energy_mj, records[i].energy_mj) << what << i;
+    }
+  }
+}
+
+TEST_F(RunScratchTest, OutputsAreCanonicalWithoutSorting) {
+  auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
+  RunScratch scratch;
+  for (const auto& scenario : workload::benchmark_suite()) {
+    scheduler->reset();
+    auto run = runner_.run(scenario, *scheduler, RunConfig{}, nullptr,
+                           &scratch);
+    expect_canonical(run, scenario.name);
+    scratch.recycle(std::move(run));
+  }
+  // At 250 ms the faulted AR Gaming phase still dispatches past its window
+  // end, after the next phase's first intervals: the phase join has to
+  // reorder, not just append.
+  workload::ScenarioProgram program;
+  program.name = "faulted two-phase";
+  program.faults = every_fault_class();
+  program.phases.push_back(
+      {workload::scenario_by_name("AR Gaming"), 250.0, 0});
+  program.phases.push_back(
+      {workload::scenario_by_name("Social Interaction A"), 250.0, 1});
+  scheduler->reset();
+  const auto run = runner_.run_program(program, *scheduler, RunConfig{},
+                                       nullptr, &scratch);
+  EXPECT_GT(run.resilience.outage_kills, 0);
+  expect_canonical(run, program.name);
+}
+
+TEST(TaskIndex, IsTheTableOnePosition) {
+  const auto& tasks = models::all_tasks();
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(models::task_index(tasks[i]), i);
+  }
+  static_assert(models::task_index(models::TaskId::kPD) ==
+                    models::kNumTasks - 1,
+                "task_index is a compile-time cast");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/harness.h"
 #include "core/sweep.h"
@@ -351,6 +352,28 @@ TEST(ScenarioProgramIo, RejectsMalformedPrograms) {
                                         "[phase]\nscenario = AR Gaming\n"
                                         "duration_ms = 100\n"),
                std::invalid_argument);
+}
+
+TEST(ScenarioProgramIo, RejectsNanTriggerProbability) {
+  // NaN fails every comparison, so a "p < 0 || p > 1" range test let it
+  // through and the run scored a program whose cascade never fired.
+  const std::string model =
+      "[model]\ntask = KD\nfps = 3\n"
+      "[model]\ntask = SR\nfps = 3\ndepends_on = KD\n"
+      "dependency = control\ntrigger_probability = nan\n";
+  EXPECT_THROW(from_config_text("[scenario]\nname = s\n" + model),
+               std::invalid_argument);
+  EXPECT_THROW(program_from_config_text("[program]\nname = x\n"
+                                        "[scenario]\nname = s\n" +
+                                        model +
+                                        "[phase]\nscenario = s\n"
+                                        "duration_ms = 100\n"),
+               std::invalid_argument);
+  // The programmatic check catches a scenario built in code.
+  auto program = single_phase_program(scenario_by_name("AR Gaming"), 100.0);
+  program.phases[0].scenario.models.back().trigger_probability =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(validate_program(program), std::invalid_argument);
 }
 
 // ---- DVFS transition-latency penalty --------------------------------------

@@ -1,287 +1,327 @@
-#include "sim/simulator.h"
+#include "runtime/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <stdexcept>
 #include <vector>
 
-namespace xrbench::sim {
+namespace xrbench::runtime {
 namespace {
 
-TEST(Simulator, EmptyQueueRuns) {
-  Simulator s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.run(), 0u);
-  EXPECT_EQ(s.now(), 0.0);
+constexpr std::size_t kUnits = 4;
+
+/// Pops every live event, returning (time, unit) pairs in firing order.
+std::vector<std::pair<double, std::uint32_t>> drain(EventQueue& q) {
+  std::vector<std::pair<double, std::uint32_t>> fired;
+  Event e;
+  while (q.pop(e)) fired.emplace_back(e.when, e.unit);
+  return fired;
 }
 
-TEST(Simulator, FiresInTimeOrder) {
-  Simulator s;
-  std::vector<int> order;
-  s.schedule_at(30.0, [&] { order.push_back(3); });
-  s.schedule_at(10.0, [&] { order.push_back(1); });
-  s.schedule_at(20.0, [&] { order.push_back(2); });
-  EXPECT_EQ(s.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(s.now(), 30.0);
+EventQueue fresh_queue() {
+  EventQueue q;
+  q.reset(kUnits);
+  return q;
 }
 
-TEST(Simulator, FifoTieBreakAtEqualTime) {
-  Simulator s;
-  std::vector<int> order;
-  s.schedule_at(5.0, [&] { order.push_back(1); });
-  s.schedule_at(5.0, [&] { order.push_back(2); });
-  s.schedule_at(5.0, [&] { order.push_back(3); });
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+TEST(EventQueue, EmptyQueuePopsNothing) {
+  auto q = fresh_queue();
+  Event e;
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_FALSE(q.pop(e));
+  EXPECT_FALSE(q.pop_before(10.0, e));
+  EXPECT_EQ(q.now(), 0.0);
 }
 
-TEST(Simulator, ScheduleAfterUsesCurrentTime) {
-  Simulator s;
-  double fired_at = -1.0;
-  s.schedule_at(10.0, [&] {
-    s.schedule_after(5.0, [&] { fired_at = s.now(); });
-  });
-  s.run();
-  EXPECT_DOUBLE_EQ(fired_at, 15.0);
+TEST(EventQueue, PopsInTimeOrder) {
+  auto q = fresh_queue();
+  q.push_at(30.0, EventKind::kOutageEnd, 3);
+  q.push_at(10.0, EventKind::kOutageEnd, 1);
+  q.push_at(20.0, EventKind::kOutageEnd, 2);
+  const auto fired = drain(q);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0].second, 1u);
+  EXPECT_EQ(fired[1].second, 2u);
+  EXPECT_EQ(fired[2].second, 3u);
+  EXPECT_EQ(q.now(), 30.0);
 }
 
-TEST(Simulator, PastTimestampsClampToNow) {
-  Simulator s;
-  double fired_at = -1.0;
-  s.schedule_at(10.0, [&] {
-    s.schedule_at(3.0, [&] { fired_at = s.now(); });  // in the past
-  });
-  s.run();
-  EXPECT_DOUBLE_EQ(fired_at, 10.0);
+TEST(EventQueue, FifoTieBreakAtEqualTime) {
+  auto q = fresh_queue();
+  q.push_at(5.0, EventKind::kOutageStart, 1);
+  q.push_at(5.0, EventKind::kRetry, 2);
+  q.push_at(5.0, EventKind::kComplete, 3);
+  const auto fired = drain(q);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0].second, 1u);
+  EXPECT_EQ(fired[1].second, 2u);
+  EXPECT_EQ(fired[2].second, 3u);
 }
 
-TEST(Simulator, NegativeDelayClampsToZero) {
-  Simulator s;
-  double fired_at = -1.0;
-  s.schedule_after(-5.0, [&] { fired_at = s.now(); });
-  s.run();
-  EXPECT_DOUBLE_EQ(fired_at, 0.0);
+TEST(EventQueue, PushAfterUsesCurrentTime) {
+  auto q = fresh_queue();
+  q.push_at(10.0, EventKind::kOutageStart, 0);
+  Event e;
+  ASSERT_TRUE(q.pop(e));
+  q.push_after(5.0, EventKind::kComplete, 0);
+  ASSERT_TRUE(q.pop(e));
+  EXPECT_DOUBLE_EQ(e.when, 15.0);
+  EXPECT_DOUBLE_EQ(q.now(), 15.0);
 }
 
-TEST(Simulator, CancelPreventsFiring) {
-  Simulator s;
-  bool fired = false;
-  const EventId id = s.schedule_at(1.0, [&] { fired = true; });
-  EXPECT_TRUE(s.cancel(id));
-  EXPECT_EQ(s.run(), 0u);
-  EXPECT_FALSE(fired);
+TEST(EventQueue, PastTimestampsClampToNow) {
+  auto q = fresh_queue();
+  q.push_at(10.0, EventKind::kOutageStart, 0);
+  Event e;
+  ASSERT_TRUE(q.pop(e));
+  q.push_at(3.0, EventKind::kOutageEnd, 0);  // in the past
+  ASSERT_TRUE(q.pop(e));
+  EXPECT_DOUBLE_EQ(e.when, 10.0);
 }
 
-TEST(Simulator, CancelTwiceFails) {
-  Simulator s;
-  const EventId id = s.schedule_at(1.0, [] {});
-  EXPECT_TRUE(s.cancel(id));
-  EXPECT_FALSE(s.cancel(id));
+TEST(EventQueue, NegativeDelayClampsToZero) {
+  auto q = fresh_queue();
+  q.push_after(-5.0, EventKind::kComplete, 0);
+  Event e;
+  ASSERT_TRUE(q.pop(e));
+  EXPECT_DOUBLE_EQ(e.when, 0.0);
 }
 
-TEST(Simulator, CancelUnknownIdFails) {
-  Simulator s;
-  EXPECT_FALSE(s.cancel(0));
-  EXPECT_FALSE(s.cancel(9999));
+TEST(EventQueue, VoidedCompletionNeverFires) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kComplete, 2);
+  q.push_at(2.0, EventKind::kFault, 3);
+  EXPECT_TRUE(q.void_completion(2));
+  EXPECT_TRUE(q.void_completion(3));
+  Event e;
+  EXPECT_FALSE(q.pop(e));
+  EXPECT_EQ(q.pending(), 0u);
 }
 
-TEST(Simulator, PendingCountTracksCancel) {
-  Simulator s;
-  const EventId a = s.schedule_at(1.0, [] {});
-  s.schedule_at(2.0, [] {});
-  EXPECT_EQ(s.pending_events(), 2u);
-  s.cancel(a);
-  EXPECT_EQ(s.pending_events(), 1u);
-  s.run();
-  EXPECT_EQ(s.pending_events(), 0u);
+TEST(EventQueue, VoidTwiceOrUnarmedFails) {
+  auto q = fresh_queue();
+  EXPECT_FALSE(q.void_completion(0));  // never armed
+  q.push_at(1.0, EventKind::kComplete, 0);
+  EXPECT_TRUE(q.void_completion(0));
+  EXPECT_FALSE(q.void_completion(0));
+  // A popped completion is gone as well.
+  q.push_at(2.0, EventKind::kComplete, 1);
+  Event e;
+  ASSERT_TRUE(q.pop(e));
+  EXPECT_FALSE(q.void_completion(1));
 }
 
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator s;
-  std::vector<double> fired;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    s.schedule_at(t, [&fired, &s] { fired.push_back(s.now()); });
-  }
-  EXPECT_EQ(s.run_until(2.5), 2u);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(s.now(), 2.5);
-  EXPECT_EQ(s.run(), 2u);
+TEST(EventQueue, VoidLeavesOtherKindsAndUnitsAlone) {
+  // Tokens only guard completion kinds: an outage event or a retry on the
+  // same unit index still fires after the unit's completion is voided.
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kComplete, 1);
+  q.push_at(1.0, EventKind::kComplete, 2);
+  q.push_at(3.0, EventKind::kOutageEnd, 1);
+  q.push_at(4.0, EventKind::kRetry, 1);
+  ASSERT_TRUE(q.void_completion(1));
+  const auto fired = drain(q);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0], std::make_pair(1.0, std::uint32_t{2}));
+  EXPECT_EQ(fired[1], std::make_pair(3.0, std::uint32_t{1}));
+  EXPECT_EQ(fired[2], std::make_pair(4.0, std::uint32_t{1}));
 }
 
-TEST(Simulator, RunUntilIncludesBoundaryEvents) {
-  Simulator s;
-  int count = 0;
-  s.schedule_at(5.0, [&] { ++count; });
-  EXPECT_EQ(s.run_until(5.0), 1u);
-  EXPECT_EQ(count, 1);
+TEST(EventQueue, RearmedUnitFiresOnlyItsNewCompletion) {
+  // A kill voids the old completion; the re-dispatch arms a new one with
+  // the bumped token, and only that one fires.
+  auto q = fresh_queue();
+  q.push_at(5.0, EventKind::kComplete, 0);
+  ASSERT_TRUE(q.void_completion(0));
+  q.push_at(8.0, EventKind::kComplete, 0);
+  const auto fired = drain(q);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].first, 8.0);
 }
 
-TEST(Simulator, RunBeforeLeavesEqualTimeEventsQueued) {
-  Simulator s;
-  std::vector<double> fired;
+TEST(EventQueue, ArmingAnArmedUnitThrows) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kComplete, 0);
+  EXPECT_THROW(q.push_at(2.0, EventKind::kFault, 0), std::logic_error);
+}
+
+TEST(EventQueue, PendingCountTracksVoid) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kComplete, 0);
+  q.push_at(2.0, EventKind::kOutageStart, 1);
+  EXPECT_EQ(q.pending(), 2u);
+  q.void_completion(0);
+  EXPECT_EQ(q.pending(), 1u);
+  drain(q);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, PopBeforeLeavesEqualTimeEventsQueued) {
+  auto q = fresh_queue();
+  std::uint32_t unit = 0;
   for (double t : {1.0, 2.0, 2.0, 3.0}) {
-    s.schedule_at(t, [&fired, &s] { fired.push_back(s.now()); });
+    q.push_at(t, EventKind::kOutageEnd, unit++);
   }
-  EXPECT_EQ(s.run_before(2.0), 1u);
+  Event e;
+  std::vector<double> fired;
+  while (q.pop_before(2.0, e)) fired.push_back(e.when);
   EXPECT_EQ(fired, (std::vector<double>{1.0}));
-  EXPECT_EQ(s.pending_events(), 3u);
-  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(q.pending(), 3u);
+  for (const auto& f : drain(q)) fired.push_back(f.first);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 2.0, 3.0}));
 }
 
-TEST(Simulator, RunBeforeAdvancesNowToBoundary) {
-  Simulator s;
-  s.schedule_at(1.0, [] {});
-  s.run_before(4.5);
-  EXPECT_DOUBLE_EQ(s.now(), 4.5);
-  // An empty queue still moves the clock; an earlier boundary never rewinds.
-  s.run_before(7.0);
-  EXPECT_DOUBLE_EQ(s.now(), 7.0);
-  EXPECT_EQ(s.run_before(6.0), 0u);
-  EXPECT_DOUBLE_EQ(s.now(), 7.0);
-}
-
-TEST(Simulator, RunBeforeSkipsCancelledEvents) {
-  Simulator s;
-  std::vector<int> order;
-  const EventId first = s.schedule_at(1.0, [&] { order.push_back(1); });
-  s.schedule_at(2.0, [&] { order.push_back(2); });
-  ASSERT_TRUE(s.cancel(first));
-  EXPECT_EQ(s.run_before(3.0), 1u);
-  EXPECT_EQ(order, (std::vector<int>{2}));
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(Simulator, RunBeforeFiresEventsScheduledInsideTheWindow) {
-  Simulator s;
-  std::vector<double> fired;
-  s.schedule_at(1.0, [&] {
-    fired.push_back(s.now());
-    s.schedule_after(0.5, [&] { fired.push_back(s.now()); });  // 1.5 < 2
-    s.schedule_after(1.0, [&] { fired.push_back(s.now()); });  // 2.0: waits
-  });
-  EXPECT_EQ(s.run_before(2.0), 2u);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5}));
-  EXPECT_EQ(s.pending_events(), 1u);
-}
-
-TEST(Simulator, StepFiresOneEvent) {
-  Simulator s;
-  int count = 0;
-  s.schedule_at(1.0, [&] { ++count; });
-  s.schedule_at(2.0, [&] { ++count; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
-}
-
-TEST(Simulator, CascadedEventChains) {
-  Simulator s;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 100) s.schedule_after(1.0, chain);
-  };
-  s.schedule_at(0.0, chain);
-  s.run();
-  EXPECT_EQ(depth, 100);
-  EXPECT_DOUBLE_EQ(s.now(), 99.0);
-}
-
-TEST(Simulator, FiredEventsCounter) {
-  Simulator s;
-  for (int i = 0; i < 10; ++i) s.schedule_at(i, [] {});
-  s.run();
-  EXPECT_EQ(s.fired_events(), 10u);
-}
-
-TEST(Simulator, CancelAfterPoolSlotReuseFails) {
-  // Regression for the pooled event arena: after event `a` fires, its pool
-  // slot is recycled by event `b`. A stale handle to `a` must NOT cancel
-  // `b` (EventIds are generation-tagged).
-  Simulator s;
-  bool b_fired = false;
-  const EventId a = s.schedule_at(1.0, [] {});
-  EXPECT_TRUE(s.step());             // `a` fires, slot returns to free list
-  s.schedule_at(2.0, [&] { b_fired = true; });  // reuses a's slot
-  EXPECT_FALSE(s.cancel(a));         // stale id must be rejected
-  s.run();
-  EXPECT_TRUE(b_fired);
-}
-
-TEST(Simulator, CancelAfterCancelledSlotReuseFails) {
-  // Same regression via the cancel path: cancelling `a` frees its slot
-  // immediately; the recycled slot's new tenant must be unaffected by a
-  // second cancel with the old id.
-  Simulator s;
-  bool b_fired = false;
-  const EventId a = s.schedule_at(1.0, [] {});
-  EXPECT_TRUE(s.cancel(a));
-  const EventId b = s.schedule_at(2.0, [&] { b_fired = true; });
-  EXPECT_NE(a, b);
-  EXPECT_FALSE(s.cancel(a));
-  s.run();
-  EXPECT_TRUE(b_fired);
-}
-
-TEST(Simulator, FifoTieBreakSurvivesPoolReuse) {
-  // Equal-timestamp FIFO order must hold even when the events' pool slots
-  // were recycled in a different order than they were first allocated.
-  Simulator s;
-  std::vector<int> order;
-  // Round 1: allocate three slots, fire them (slots go to the free list in
-  // fire order, so the free list is LIFO relative to allocation).
-  for (int i = 0; i < 3; ++i) s.schedule_at(1.0, [] {});
-  s.run();
-  // Round 2: equal timestamps on recycled slots must still fire FIFO.
-  s.schedule_at(10.0, [&] { order.push_back(1); });
-  s.schedule_at(10.0, [&] { order.push_back(2); });
-  s.schedule_at(10.0, [&] { order.push_back(3); });
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Simulator, PoolHighWaterMarkIsReused) {
-  // Steady-state scheduling must recycle slots instead of growing the pool:
-  // repeated schedule/fire cycles keep the arena at its high-water mark.
-  Simulator s;
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 4; ++i) s.schedule_after(1.0, [] {});
-    s.run();
+TEST(EventQueue, AdvanceToMovesTheClockForwardOnly) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kOutageEnd, 0);
+  Event e;
+  while (q.pop_before(4.5, e)) {
   }
-  EXPECT_EQ(s.pool_slots(), 4u);
+  q.advance_to(4.5);
+  EXPECT_DOUBLE_EQ(q.now(), 4.5);
+  q.advance_to(7.0);
+  EXPECT_DOUBLE_EQ(q.now(), 7.0);
+  EXPECT_FALSE(q.pop_before(6.0, e));
+  q.advance_to(6.0);
+  EXPECT_DOUBLE_EQ(q.now(), 7.0);
 }
 
-TEST(Simulator, CancelDuringCallbackOfSameEventFails) {
-  // Once an event fires its id is dead, even from inside its own callback.
-  Simulator s;
-  EventId id = 0;
-  bool cancelled = true;
-  id = s.schedule_at(1.0, [&] { cancelled = s.cancel(id); });
-  s.run();
-  EXPECT_FALSE(cancelled);
+TEST(EventQueue, PopBeforeSkipsVoidedEvents) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kComplete, 0);
+  q.push_at(2.0, EventKind::kOutageEnd, 1);
+  ASSERT_TRUE(q.void_completion(0));
+  Event e;
+  ASSERT_TRUE(q.pop_before(3.0, e));
+  EXPECT_EQ(e.unit, 1u);
+  EXPECT_FALSE(q.pop_before(3.0, e));
+  EXPECT_EQ(q.pending(), 0u);
 }
 
-/// Property: N randomly-ordered timestamps always fire sorted.
-class SimulatorOrderProperty : public ::testing::TestWithParam<int> {};
+TEST(EventQueue, VoidedEntryBelowTheBoundaryNeverLetsALaterEventThrough) {
+  // Regression: a killed completion's stale entry sits below the arrival
+  // boundary while the next live event is at (or past) it. The stale entry
+  // must be discarded BEFORE the boundary test; discarding it inside the
+  // pop step instead would pop the live event ahead of the arrival.
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kComplete, 0);
+  q.push_at(3.0, EventKind::kComplete, 1);  // exactly at the boundary
+  q.push_at(4.0, EventKind::kOutageStart, 2);  // past it
+  ASSERT_TRUE(q.void_completion(0));
+  Event e;
+  EXPECT_FALSE(q.pop_before(3.0, e));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+  ASSERT_TRUE(q.pop_before(3.5, e));
+  EXPECT_EQ(e.unit, 1u);
+}
 
-TEST_P(SimulatorOrderProperty, AlwaysSorted) {
-  Simulator s;
+TEST(EventQueue, PopBeforeReturnsEventsPushedInsideTheWindow) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kOutageStart, 0);
+  Event e;
   std::vector<double> fired;
+  while (q.pop_before(2.0, e)) {
+    fired.push_back(e.when);
+    if (e.kind == EventKind::kOutageStart) {
+      q.push_after(0.5, EventKind::kRetry, 0);     // 1.5 < 2
+      q.push_after(1.0, EventKind::kOutageEnd, 0);  // 2.0: waits
+    }
+  }
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5}));
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(EventQueue, CascadedEventChains) {
+  auto q = fresh_queue();
+  q.push_at(0.0, EventKind::kComplete, 0);
+  int depth = 0;
+  Event e;
+  while (q.pop(e)) {
+    if (++depth < 100) q.push_after(1.0, EventKind::kComplete, 0);
+  }
+  EXPECT_EQ(depth, 100);
+  EXPECT_DOUBLE_EQ(q.now(), 99.0);
+}
+
+TEST(EventQueue, FifoTieBreakSurvivesReset) {
+  auto q = fresh_queue();
+  for (std::uint32_t u = 0; u < 3; ++u) q.push_at(1.0, EventKind::kRetry, u);
+  drain(q);
+  q.reset(kUnits);
+  q.push_at(10.0, EventKind::kRetry, 1);
+  q.push_at(10.0, EventKind::kRetry, 2);
+  q.push_at(10.0, EventKind::kRetry, 3);
+  const auto fired = drain(q);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0].second, 1u);
+  EXPECT_EQ(fired[1].second, 2u);
+  EXPECT_EQ(fired[2].second, 3u);
+}
+
+TEST(EventQueue, HighWaterCountsQueuedEntries) {
+  // Steady-state pushing and popping keeps the heap at its high-water
+  // mark; a voided entry counts until it surfaces.
+  auto q = fresh_queue();
+  for (int round = 0; round < 50; ++round) {
+    for (std::uint32_t u = 0; u < kUnits; ++u) {
+      q.push_after(1.0, EventKind::kComplete, u);
+    }
+    drain(q);
+  }
+  EXPECT_EQ(q.high_water(), kUnits);
+  q.push_after(1.0, EventKind::kComplete, 0);
+  q.void_completion(0);
+  q.push_after(2.0, EventKind::kComplete, 0);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.high_water(), kUnits);
+  drain(q);
+}
+
+TEST(EventQueue, ResetRewindsClockAndDropsVoidedEntries) {
+  auto q = fresh_queue();
+  q.push_at(5.0, EventKind::kOutageStart, 0);
+  q.push_at(9.0, EventKind::kComplete, 1);
+  q.push_at(12.0, EventKind::kComplete, 2);
+  q.void_completion(2);
+  EXPECT_EQ(drain(q).size(), 2u);
+  EXPECT_DOUBLE_EQ(q.now(), 9.0);
+  q.reset(kUnits);
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+  EXPECT_EQ(q.high_water(), 0u);
+  // Events before the old end time are legal again after the rewind, and
+  // the voided entry from the previous run never resurfaces.
+  q.push_at(2.0, EventKind::kComplete, 2);
+  const auto fired = drain(q);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_DOUBLE_EQ(fired[0].first, 2.0);
+}
+
+TEST(EventQueue, ResetWithPendingEventsThrows) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kOutageEnd, 0);
+  EXPECT_THROW(q.reset(kUnits), std::logic_error);
+}
+
+/// Property: N randomly-ordered timestamps always pop sorted.
+class EventQueueOrderProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventQueueOrderProperty, AlwaysSorted) {
+  auto q = fresh_queue();
   const int n = GetParam();
   for (int i = 0; i < n; ++i) {
     const double t = static_cast<double>((i * 7919) % 1000);
-    s.schedule_at(t, [&fired, &s] { fired.push_back(s.now()); });
+    q.push_at(t, EventKind::kRetry, static_cast<std::uint32_t>(i));
   }
-  s.run();
+  std::vector<double> fired;
+  for (const auto& f : drain(q)) fired.push_back(f.first);
   ASSERT_EQ(fired.size(), static_cast<std::size_t>(n));
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, SimulatorOrderProperty,
+INSTANTIATE_TEST_SUITE_P(Sizes, EventQueueOrderProperty,
                          ::testing::Values(1, 2, 17, 100, 1000));
 
 }  // namespace
-}  // namespace xrbench::sim
+}  // namespace xrbench::runtime
