@@ -9,15 +9,12 @@
 
 #include "core/harness.h"
 #include "runtime/policy_registry.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("ablation_scheduler");
-  std::int64_t total_runs = 0;
   const auto schedulers =
       runtime::PolicyRegistry::instance().scheduler_names();
   util::CsvWriter csv("bench_output/ablation_scheduler.csv");
@@ -37,7 +34,6 @@ int main() {
         core::Harness harness(hw::make_accelerator('J', pes), opt);
         const auto out =
             harness.run_scenario(workload::scenario_by_name(scenario_name));
-        total_runs += out.trials;
         table.add_row({scheduler,
                        util::fmt_double(out.score.realtime),
                        util::fmt_double(out.score.energy),
@@ -57,6 +53,5 @@ int main() {
     }
   }
   std::cout << "CSV written to bench_output/ablation_scheduler.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

@@ -11,15 +11,12 @@
 #include "costmodel/cost_model.h"
 #include "hw/dvfs.h"
 #include "models/zoo.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("costmodel_layers");
-  std::int64_t total_runs = 0;
   costmodel::AnalyticalCostModel cm;
   util::CsvWriter csv("bench_output/costmodel_layers.csv");
   csv.header({"model", "dataflow", "layer", "op", "macs", "compute_cycles",
@@ -39,7 +36,6 @@ int main() {
       accel.dataflow = df;
       accel.num_pes = 4096;
       const auto mc = cm.model_cost(graph, accel);
-      ++total_runs;  // one full model evaluation
       double compute_bound = 0, noc_bound = 0, dram_bound = 0;
       for (std::size_t i = 0; i < mc.layers.size(); ++i) {
         const auto& lc = mc.layers[i];
@@ -75,9 +71,9 @@ int main() {
   std::cout << "\nPer-layer CSV written to bench_output/costmodel_layers.csv\n";
 
   // --- All-levels contrast: per-level walk vs the level-batched kernel. ---
-  // Fresh cost models on both sides so each timing is a true cold
-  // evaluation (no layer- or model-memo hits), over the whole zoo with the
-  // default five-point DVFS ladder attached.
+  // Fresh cost models on both sides so each side is a true cold evaluation
+  // (no model-memo hits), over the whole zoo with the default five-point
+  // DVFS ladder attached.
   const auto ladder = hw::default_dvfs_state(1.0);
   costmodel::SubAccelConfig dvfs_accel;
   dvfs_accel.id = "probe-dvfs";
@@ -86,7 +82,6 @@ int main() {
   dvfs_accel.dvfs = ladder;
 
   costmodel::AnalyticalCostModel per_level_cm;
-  const double t_per_level = bench.elapsed_ms();
   std::vector<std::vector<costmodel::ModelCost>> per_level_results;
   for (models::TaskId t : models::all_tasks()) {
     const auto& graph = models::model_graph(t);
@@ -96,16 +91,13 @@ int main() {
     }
     per_level_results.push_back(std::move(levels));
   }
-  const double per_level_ms = bench.elapsed_ms() - t_per_level;
 
   costmodel::AnalyticalCostModel batched_cm;
-  const double t_batched = bench.elapsed_ms();
   std::vector<std::vector<costmodel::ModelCost>> batched_results;
   for (models::TaskId t : models::all_tasks()) {
     batched_results.push_back(
         batched_cm.model_cost_all_levels(models::model_graph(t), dvfs_accel));
   }
-  const double batched_ms = bench.elapsed_ms() - t_batched;
 
   // Deterministic equality guard: the two paths must agree bit-exactly.
   std::size_t mismatches = 0;
@@ -123,18 +115,5 @@ int main() {
   std::cout << "\n=== All-levels kernel: " << ladder.num_levels()
             << "-level ladder over the zoo ===\n\n"
             << "per-level vs batched mismatches: " << mismatches << "\n";
-  if (mismatches != 0) return 1;
-  std::cerr << "all-levels: per_level_ms=" << per_level_ms
-            << "  batched_ms=" << batched_ms << "  speedup="
-            << (batched_ms > 0.0 ? per_level_ms / batched_ms : 0.0) << "\n";
-
-  bench.add_metric("all_levels_per_level_ms", per_level_ms);
-  bench.add_metric("all_levels_batched_ms", batched_ms);
-  bench.add_metric("all_levels_speedup",
-                   batched_ms > 0.0 ? per_level_ms / batched_ms : 0.0);
-  bench.add_metric("all_levels_num_levels",
-                   static_cast<double>(ladder.num_levels()));
-  total_runs += static_cast<std::int64_t>(2 * batched_results.size());
-  bench.set_runs(total_runs);
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -7,15 +7,12 @@
 
 #include "core/harness.h"
 #include "core/report.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("figure6");
-  std::int64_t total_runs = 0;
   util::CsvWriter csv("bench_output/figure6_timeline.csv");
   csv.header({"total_pes", "sub_accel", "task", "frame", "start_ms",
               "end_ms"});
@@ -27,7 +24,6 @@ int main() {
     core::Harness harness(hw::make_accelerator('J', pes));
     const auto out =
         harness.run_scenario(workload::scenario_by_name("AR Gaming"));
-    total_runs += out.trials;
 
     std::cout << "=== Figure 6: AR Gaming on accelerator J, " << pes
               << " PEs ===\n\n";
@@ -68,6 +64,5 @@ int main() {
       << "The 4K system is the busier one yet delivers the worse score: "
          "utilization does not capture frame drops or deadline misses.\n"
       << "\nCSV written to bench_output/figure6_timeline.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

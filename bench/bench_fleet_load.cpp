@@ -7,8 +7,7 @@
 //
 // Every session executes as one SweepEngine trial, so serial
 // (XRBENCH_THREADS=0) and parallel runs produce byte-identical reports
-// (CI diffs 1 vs 4 workers). Deterministic tables go to stdout; wall-clock
-// timing goes to BENCH_fleet_load.json.
+// (CI diffs 1 vs 4 workers).
 
 #include <iostream>
 #include <string>
@@ -17,14 +16,12 @@
 #include "fleet/fleet_report.h"
 #include "fleet/fleet_simulator.h"
 #include "hw/accelerator.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("fleet_load");
   util::CsvWriter csv("bench_output/fleet_load.csv");
   csv.header({"admission", "pool_size", "arrival_rate_per_s", "offered_load",
               "offered", "admitted", "drop_rate", "qoe_p50", "qoe_p99",
@@ -43,9 +40,6 @@ int main() {
   base.classes = {{1.0, 150.0}, {3.0, 600.0}};
 
   fleet::FleetSimulator sim;
-  std::int64_t total_sessions = 0;
-  double overload_drop_admit_all = 0.0;
-  double overload_drop_fleet_queue = 0.0;
 
   for (const auto& admission : admissions) {
     std::cout << "=== Admission '" << admission
@@ -60,7 +54,6 @@ int main() {
         config.arrival_rate_per_s = rate;
         const auto result = sim.run(config, system);
         const auto& fs = result.fleet;
-        total_sessions += fs.offered;
         table.add_row({util::CsvWriter::cell(pool),
                        util::fmt_double(rate, 0),
                        util::fmt_double(result.offered_load, 2),
@@ -81,15 +74,6 @@ int main() {
                  util::CsvWriter::cell(fs.latency_p99_ms),
                  util::CsvWriter::cell(fs.wait_p99_ms),
                  util::CsvWriter::cell(fs.energy_per_session_mj)});
-        // The overload corner (smallest pool, highest rate) is the
-        // headline admission-policy contrast.
-        if (pool == pools.front() && rate == rates.back()) {
-          if (admission == "admit-all") {
-            overload_drop_admit_all = fs.drop_rate;
-          } else {
-            overload_drop_fleet_queue = fs.drop_rate;
-          }
-        }
       }
     }
     table.print(std::cout);
@@ -109,11 +93,5 @@ int main() {
             << "/s, fleet-queue) ===\n\n";
   fleet::print_fleet_report(std::cout, contrast);
   std::cout << "\nPer-cell metrics are in bench_output/fleet_load.csv\n";
-
-  bench.set_runs(total_sessions);
-  bench.add_metric("cells", static_cast<double>(rates.size() * pools.size() *
-                                                admissions.size()));
-  bench.add_metric("overload_drop_admit_all", overload_drop_admit_all);
-  bench.add_metric("overload_drop_fleet_queue", overload_drop_fleet_queue);
   return 0;
 }

@@ -12,7 +12,6 @@
 
 #include "core/pareto.h"
 #include "core/sweep.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
@@ -45,7 +44,6 @@ void report(const std::string& title, std::vector<core::ParetoPoint> points,
 }  // namespace
 
 int main() {
-  util::BenchJson bench("pareto");
   core::HarnessOptions opt;
   opt.dynamic_trials = 10;
   util::CsvWriter csv("bench_output/pareto_frontier.csv");
@@ -67,11 +65,6 @@ int main() {
             << engine.num_threads() << " worker threads...\n\n";
   const auto outcomes = engine.run_suite_points(points);
 
-  std::int64_t total_runs = 0;
-  for (const auto& out : outcomes) {
-    for (const auto& s : out.scenarios) total_runs += s.trials;
-  }
-
   std::size_t idx = 0;
   for (std::int64_t pes : {4096ll, 8192ll}) {
     std::vector<core::ParetoPoint> avg_points;
@@ -90,8 +83,5 @@ int main() {
            std::move(ar_points), csv, "ar_gaming_" + std::to_string(pes));
   }
   std::cout << "CSV written to bench_output/pareto_frontier.csv\n";
-  bench.set_runs(total_runs);
-  bench.add_metric("worker_threads",
-                   static_cast<double>(engine.num_threads()));
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "models/zoo.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "workload/unit_model.h"
@@ -43,8 +42,6 @@ std::string operator_families(const costmodel::ModelGraph& g) {
 }  // namespace
 
 int main() {
-  util::BenchJson bench("table1_models");
-  std::int64_t total_runs = 0;
   std::cout << "=== Table 1 / Table 7: XRBench unit tasks and proxy unit "
                "models ===\n\n";
   util::TablePrinter table(
@@ -57,7 +54,6 @@ int main() {
   for (models::TaskId t : models::all_tasks()) {
     const auto& g = models::model_graph(t);
     const auto& spec = workload::unit_model_spec(t);
-    ++total_runs;  // one model summarized
     const double gmacs = static_cast<double>(g.total_macs()) / 1e9;
     const double mparams = static_cast<double>(g.total_params()) / 1e6;
     const std::string req =
@@ -76,6 +72,5 @@ int main() {
   }
   table.print(std::cout);
   std::cout << "\nCSV written to bench_output/table1_models.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

@@ -12,14 +12,12 @@
 #include "core/sweep.h"
 #include "hw/accelerator.h"
 #include "runtime/cost_table.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("table5_accels");
   std::cout << "=== Table 5: Accelerator styles ===\n\n";
   util::TablePrinter table(
       {"Acc. ID", "Acc. Style", "Dataflow", "Sub-accels", "PEs per sub-accel"});
@@ -40,7 +38,6 @@ int main() {
   util::CsvWriter csv("bench_output/table5_latencies.csv");
   csv.header({"accelerator", "total_pes", "sub_accel", "dataflow", "task",
               "latency_ms", "energy_mj", "utilization"});
-  std::int64_t tables_built = 0;
   for (std::int64_t pes : {4096ll, 8192ll}) {
     std::cout << "\n=== Per-model latency (ms) on each sub-accelerator, "
               << pes << " PEs ===\n\n";
@@ -51,7 +48,6 @@ int main() {
     util::TablePrinter lat(cols);
     const auto systems = hw::all_accelerators(pes);
     const auto costs = engine.build_cost_tables(systems, cm);
-    tables_built += static_cast<std::int64_t>(costs.size());
     for (std::size_t si = 0; si < systems.size(); ++si) {
       const auto& sys = systems[si];
       for (std::size_t sa = 0; sa < sys.sub_accels.size(); ++sa) {
@@ -77,11 +73,5 @@ int main() {
   // Table builds run through the model-level all-levels memo.
   std::cout << "Cost-model memo entries after the sweep: "
             << cm.model_memo_size() << " model-level\n";
-  bench.set_runs(tables_built);
-  bench.add_metric("model_memo_entries",
-                   static_cast<double>(cm.model_memo_size()));
-  bench.add_metric("model_memo_hit_rate", cm.model_memo_stats().hit_rate());
-  bench.add_metric("worker_threads",
-                   static_cast<double>(engine.num_threads()));
   return 0;
 }

@@ -47,8 +47,7 @@
 //     --list-policies           print registered schedulers/governors/programs
 //     --sweep                   run the Table-5 family full-suite sweep
 //                               (every design x {4096, 8192} PEs, default
-//                               DVFS ladders) and print one score table;
-//                               emits bench_output/BENCH_cli_sweep.json
+//                               DVFS ladders) and print one score table
 //     --pin                     with --sweep: pin pool workers to CPUs
 //                               round-robin (same as XRBENCH_PIN=1).
 //                               Placement only — scores are byte-identical
@@ -86,7 +85,6 @@
 #include "fleet/fleet_workload.h"
 #include "hw/config_io.h"
 #include "runtime/policy_registry.h"
-#include "util/bench_json.h"
 #include "util/table.h"
 #include "workload/scenario_io.h"
 
@@ -184,14 +182,8 @@ std::vector<core::SweepPoint> cli_sweep_points(
 
 int run_sweep(const core::HarnessOptions& opt) {
   const auto points = cli_sweep_points(opt);
-  util::BenchJson bench("cli_sweep");
-
   core::SweepEngine engine;  // XRBENCH_THREADS picks the worker count
   const auto outcomes = engine.run_suite_points(points);
-  bench.set_runs(static_cast<std::int64_t>(points.size()));
-  bench.add_metric("points", static_cast<double>(points.size()));
-  bench.add_metric("model_memo_hit_rate",
-                   engine.model_memo_stats().hit_rate());
 
   std::cout << "=== XRBench sweep: Table-5 family, full suite ===\n\n";
   util::TablePrinter table({"Design", "Overall", "Realtime", "Energy", "QoE"});

@@ -52,6 +52,15 @@ class EventQueue {
     high_water_ = 0;
   }
 
+  /// Drops every queued event, live or voided, so the next reset() finds
+  /// the queue empty. Only for a run that threw mid-way: a completed run
+  /// has drained its queue.
+  void discard() {
+    heap_.clear();
+    std::fill(armed_.begin(), armed_.end(), std::uint8_t{0});
+    live_ = 0;
+  }
+
   /// Current simulation time: the last popped event's time or the last
   /// advance_to() boundary, whichever is later.
   double now() const { return now_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -891,6 +892,16 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   if (scratch == nullptr) scratch = &local.emplace();
   RunScratch::Impl& eng = *scratch->impl_;
   eng.begin_run(*system_, *costs_, scheduler, governor, admission, config);
+  // A run that throws mid-way (say, a scheduler returning an invalid
+  // assignment) leaves live events queued; the scratch outlives the run, so
+  // drop them on the way out or every later run on it fails its reset.
+  struct DiscardOnThrow {
+    EventQueue& events;
+    int uncaught = std::uncaught_exceptions();
+    ~DiscardOnThrow() {
+      if (std::uncaught_exceptions() > uncaught) events.discard();
+    }
+  } discard_on_throw{eng.events};
 
   const std::size_t num_models = scenario.models.size();
   eng.stats.resize(num_models);

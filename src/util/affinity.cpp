@@ -21,11 +21,6 @@ std::vector<int> allowed_cpus() {
   return cpus;
 }
 
-std::size_t cpu_count() {
-  const auto cpus = allowed_cpus();
-  return cpus.empty() ? 1 : cpus.size();
-}
-
 bool pin_current_thread(std::size_t slot) {
   const auto cpus = allowed_cpus();
   if (cpus.empty()) return false;
@@ -42,8 +37,6 @@ bool pin_current_thread(std::size_t slot) {
 bool supported() { return false; }
 
 std::vector<int> allowed_cpus() { return {}; }
-
-std::size_t cpu_count() { return 1; }
 
 bool pin_current_thread(std::size_t) { return false; }
 

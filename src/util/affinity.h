@@ -21,12 +21,8 @@ bool supported();
 /// unsupported.
 std::vector<int> allowed_cpus();
 
-/// Number of CPUs the calling thread may run on; never less than 1 (the
-/// unsupported-platform fallback reports 1 rather than guessing).
-std::size_t cpu_count();
-
-/// Pins the CALLING thread to allowed_cpus()[slot % cpu_count()] — the
-/// round-robin worker→core rule. Returns true when the pin took effect,
+/// Pins the CALLING thread to allowed_cpus()[slot % allowed_cpus().size()],
+/// the round-robin worker→core rule. Returns true when the pin took effect,
 /// false (leaving scheduling untouched) when unsupported or the syscall
 /// fails.
 bool pin_current_thread(std::size_t slot);

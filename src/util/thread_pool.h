@@ -105,11 +105,14 @@ class Task {
 
 /// Construction-time knobs for ThreadPool.
 struct ThreadPoolOptions {
-  /// Pin worker i to allowed-CPU i % cpu_count (util::affinity round-robin).
-  /// Off by default: pinning is an explicit opt-in so default behavior and
-  /// the existing byte-diff contracts are untouched. On platforms without
-  /// an affinity API the request degrades to a no-op (workers_pinned()
-  /// reports false).
+  /// Pin worker i to allowed CPU i (mod the allowed count; util::affinity
+  /// round-robin). This pays where the scheduler does not balance load
+  /// inside the process's cpuset: there a new worker starts on its
+  /// creator's CPU and stays, so an unpinned pool can run no faster than
+  /// one thread. Off by default: pinning is an explicit opt-in so default
+  /// behavior and the existing byte-diff contracts are untouched. On
+  /// platforms without an affinity API the request degrades to a no-op
+  /// (workers_pinned() reports false).
   bool pin_workers = false;
 
   /// Options from the environment: pin_workers is true iff XRBENCH_PIN is

@@ -43,17 +43,15 @@ class EnvGuard {
   bool had_value_ = false;
 };
 
-TEST(Affinity, AllowedCpusConsistentWithCpuCount) {
+TEST(Affinity, AllowedCpusAscendingAndNonNegative) {
   namespace aff = util::affinity;
   const auto cpus = aff::allowed_cpus();
   if (aff::supported()) {
     ASSERT_FALSE(cpus.empty());
-    EXPECT_EQ(cpus.size(), aff::cpu_count());
     EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
     for (int cpu : cpus) EXPECT_GE(cpu, 0);
   } else {
     EXPECT_TRUE(cpus.empty());
-    EXPECT_EQ(aff::cpu_count(), 1u);  // never less than 1
   }
 }
 

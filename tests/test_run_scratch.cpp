@@ -8,11 +8,15 @@
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/sweep.h"
 #include "hw/accelerator.h"
+#include "runtime/dispatch_context.h"
 #include "runtime/policy_registry.h"
+#include "runtime/scheduler.h"
 #include "workload/scenario_program.h"
 
 // Global allocation probe (the idiom of test_simd_levels.cpp): counts every
@@ -109,6 +113,41 @@ TEST_F(RunScratchTest, ScratchRunsAreBitIdenticalToFreshRuns) {
   scratch.recycle(std::move(decoy));
   const auto reused = run_once(42, &scratch);
   expect_identical_runs(fresh, reused);
+}
+
+/// Latency-greedy for its first `valid_picks` picks, then a request index
+/// past the pending queue: the runner throws mid-run, with work in flight.
+class TurnsInvalidScheduler final : public Scheduler {
+ public:
+  explicit TurnsInvalidScheduler(int valid_picks) : left_(valid_picks) {}
+  const char* name() const override { return "turns-invalid"; }
+  std::optional<Assignment> pick(const DispatchContext& ctx) override {
+    if (left_-- > 0) return inner_.pick(ctx);
+    return Assignment{ctx.pending->size(), 0};
+  }
+
+ private:
+  LatencyGreedyScheduler inner_;
+  int left_;
+};
+
+TEST_F(RunScratchTest, RunThatThrowsLeavesTheScratchUsable) {
+  // A sweep worker keeps its scratch for the engine's lifetime, so a trial
+  // that throws must not poison the trials after it. The faulted run queues
+  // its outage windows up front, so events are live when the pick throws.
+  const auto fresh = run_once(42, nullptr);
+  RunScratch scratch;
+  RunConfig faulted;
+  faulted.faults.outage_rate_per_s = 2.0;
+  faulted.faults.outage_ms = 20.0;
+  for (const int valid_picks : {0, 20}) {
+    TurnsInvalidScheduler scheduler(valid_picks);
+    EXPECT_THROW(runner_.run(workload::scenario_by_name("AR Gaming"),
+                             scheduler, faulted, nullptr, &scratch),
+                 std::logic_error)
+        << valid_picks;
+    expect_identical_runs(fresh, run_once(42, &scratch));
+  }
 }
 
 TEST_F(RunScratchTest, RecycleRetainsRecordCapacity) {

@@ -304,6 +304,22 @@ TEST(EventQueue, ResetWithPendingEventsThrows) {
   EXPECT_THROW(q.reset(kUnits), std::logic_error);
 }
 
+TEST(EventQueue, DiscardDropsLiveEventsAndDisarmsUnits) {
+  auto q = fresh_queue();
+  q.push_at(1.0, EventKind::kOutageEnd, 0);
+  q.push_at(3.0, EventKind::kComplete, 1);
+  q.discard();
+  EXPECT_EQ(q.pending(), 0u);
+  Event e;
+  EXPECT_FALSE(q.pop(e));
+  // The discarded completion no longer arms unit 1, and reset() accepts the
+  // queue again.
+  EXPECT_FALSE(q.void_completion(1));
+  q.push_at(4.0, EventKind::kComplete, 1);
+  EXPECT_EQ(drain(q).size(), 1u);
+  q.reset(kUnits);
+}
+
 /// Property: N randomly-ordered timestamps always pop sorted.
 class EventQueueOrderProperty : public ::testing::TestWithParam<int> {};
 
